@@ -15,6 +15,5 @@ from .sl2 import InvariantSpace, character, invariants, sl2_L, sl2_Lplus
 from .chart import ChartFn, MetricData, metric_data
 from .geometry import (FormSection, case3_kernel, chain_residuals,
                        curvature_op, dbar_prime, dbar_star, dbar_total, f1,
-                       f2, nabla_gamma, n1_fiber, seed_section,
-                       solve_recursion)
-from .cli import dim_global, h0_canonical
+                       f2, dim_global, h0_canonical, nabla_gamma, n1_fiber,
+                       seed_section, solve_recursion)

@@ -34,16 +34,15 @@ def _distinct_partitions(total, count, min_part):
     """Partitions of total into exactly count distinct parts >= min_part,
     as strictly descending tuples."""
     if count == 0:
-        yield () if total == 0 else None
         if total == 0:
-            return
+            yield ()
         return
     # largest part is at least min_part + count - 1
     lo = min_part + count - 1
     rest_min = sum(range(min_part, min_part + count - 1))
     for first in range(total - rest_min, lo - 1, -1):
         for rest in _distinct_partitions(total - first, count - 1, min_part):
-            if rest is not None and (not rest or rest[0] < first):
+            if not rest or rest[0] < first:
                 yield (first,) + rest
 
 
@@ -78,11 +77,7 @@ def enumerate_basis(k: int, l: int):
             for wc in range(nc * (nc - 1) // 2, k - wb + 1):
                 rem = k - wb - wc
                 for b_parts in _distinct_partitions(wb, nb, 1):
-                    if b_parts is None:
-                        continue
                     for c_parts in _distinct_partitions(wc, nc, 0):
-                        if c_parts is None:
-                            continue
                         for wbeta in range(rem + 1):
                             for beta_parts in _partitions(wbeta):
                                 for gamma_parts in _partitions(rem - wbeta):

@@ -19,38 +19,9 @@ import json
 import sys
 
 from . import checks
-from .basis import enumerate_basis, split_by_s
 from .freefield import state_str
+from .geometry import dim_global, h0_canonical  # noqa: F401 (re-exported)
 from .sl2 import character, invariants
-
-
-def h0_canonical(m, genus):
-    """Dimension of the space of holomorphic sections of the m-th power
-    of the canonical bundle on a closed curve of genus >= 2.  Classical
-    values: 1 for m = 0, g for m = 1, (2m-1)(g-1) for m >= 2.  This is
-    the one ingredient not computed by the exact engine; swap it out to
-    assemble over a different base.
-    """
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    if m == 1:
-        return genus
-    return (2 * m - 1) * (genus - 1)
-
-
-def dim_global(k, l, genus, h0=h0_canonical):
-    """Global-section dimension of the [k, l] block over a genus-g
-    curve: the invariant space plus, for every s < l, the block count
-    times h0 of the (l-s)-th canonical power."""
-    total = invariants(k, l).dim
-    for s, mons in split_by_s(enumerate_basis(k, l)).items():
-        if s < l:
-            total += len(mons) * h0(l - s, genus)
-    return total
 
 
 def _emit_table(entries, fmt, header):

@@ -294,8 +294,3 @@ Q_STATE = {((BETA, -1), (C, -1)): 1}
 L_STATE = {((BETA, -1), (GAMMA, -2)): 1, ((B, -1), (C, -2)): -1}
 J_STATE = {((B, -1), (C, -1)): -1}
 G_STATE = {((GAMMA, -2), (B, -1)): 1}
-
-
-def clear_caches():
-    _apply_cache.clear()
-    _prod_cache.clear()

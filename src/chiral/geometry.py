@@ -20,18 +20,22 @@ dbar_prime-closed seed in a block with l - s > 0 extends to a closed
 section by the exact recursion
 
     a_{s-t} = -(t (l-s) + t(t-1)/2)^{-1} dbar_star(f1 a_{s-t+1} + f2 a_{s-t+2}).
+
+dim_global assembles the global-section dimension of a [k, l] block over
+a closed curve of genus >= 2 from the invariant space, the s-block counts
+and h0_canonical, the classical section count of canonical powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import basis_block, mon_scount
+from .basis import basis_block, enumerate_basis, mon_scount, split_by_s
 from .chart import ChartFn
 from .freefield import BETA, apply_mode, mon_charge, mon_weight, sadd
 from .modeops import ModeOperator, pair
 from .scalar import I
-from .sl2 import kernel_states, sl2_Lplus
+from .sl2 import invariants, kernel_states, sl2_Lplus
 
 _THETA = ChartFn.v_pow(-1, -2)
 _HALF_V2 = ChartFn.v_pow(2, Fraction(1, 2))
@@ -258,3 +262,32 @@ def case3_kernel(k, s):
         if f2(sec) or dbar_prime(sec) or dbar_total(sec):
             raise ArithmeticError("case-3 state is not closed")
     return states
+
+
+def h0_canonical(m, genus):
+    """Dimension of the space of holomorphic sections of the m-th power
+    of the canonical bundle on a closed curve of genus >= 2.  Classical
+    values: 1 for m = 0, g for m = 1, (2m-1)(g-1) for m >= 2.  This is
+    the one ingredient not computed by the exact engine; swap it out to
+    assemble over a different base.
+    """
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    if m < 0:
+        return 0
+    if m == 0:
+        return 1
+    if m == 1:
+        return genus
+    return (2 * m - 1) * (genus - 1)
+
+
+def dim_global(k, l, genus, h0=h0_canonical):
+    """Global-section dimension of the [k, l] block over a genus-g
+    curve: the invariant space plus, for every s < l, the block count
+    times h0 of the (l-s)-th canonical power."""
+    total = invariants(k, l).dim
+    for s, mons in split_by_s(enumerate_basis(k, l)).items():
+        if s < l:
+            total += len(mons) * h0(l - s, genus)
+    return total

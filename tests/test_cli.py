@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chiral
 from chiral import cli
 
 CHARACTER_2_JSON = """\
@@ -141,3 +146,33 @@ def test_usage_errors_exit_2(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_character_weight_8_stdout_fixture(capsys):
+    rc, out = run(["character", "--max-weight", "8"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0489de95447e08bf8bcbe21c9050deb04491d8f9417887290f18ee1db08b81e8")
+
+
+def python_warnings_as_errors(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chiral.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_cli_unloaded():
+    assert chiral.dim_global is cli.dim_global
+    assert chiral.h0_canonical is cli.h0_canonical
+    proc = python_warnings_as_errors(
+        "-c", "import sys, chiral; print(sorted(m for m in "
+              "('argparse', 'chiral.cli') if m in sys.modules))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_module_entry_point_runs_without_warning():
+    proc = python_warnings_as_errors(
+        "-m", "chiral.cli", "character", "--max-weight", "2", "--format", "csv")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "k,l,dim\n0,0,1\n2,-1,1\n2,0,1\n"

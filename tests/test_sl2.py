@@ -1,12 +1,14 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from chiral.basis import enumerate_basis, enumerate_full
 from chiral.freefield import (BETA, GAMMA, B, C, G_STATE, L_STATE, nth_product,
-                              sadd, sscale, translate)
-from chiral.sl2 import (character, diagonal_monomials, gamma_shift, invariants,
-                        sl2_L, sl2_Lplus, verify_relationL, verify_sl2_bracket)
+                              sadd, sscale, state_str, translate)
+from chiral.sl2 import (character, charge_range, diagonal_monomials,
+                        gamma_shift, invariants, sl2_L, sl2_Lplus,
+                        verify_relationL, verify_sl2_bracket)
 
 # dual-oracle table: dimensions computed independently through the
 # state-product operators and the mode-word operators, frozen here
@@ -106,3 +108,16 @@ def test_empty_blocks():
     assert invariants(1, 1).dim == 0
     assert invariants(0, 0).dim == 1
     assert invariants(0, 0).states[0] == {(): 1}
+
+
+def test_weight_8_invariant_bases_fixture():
+    # lines "8,l,dim", each followed by its basis vectors, frozen from the
+    # exact Gaussian-rational elimination
+    lines = []
+    for l in charge_range(8):
+        inv = invariants(8, l)
+        lines.append("8,%d,%d" % (l, inv.dim))
+        lines += [state_str(st) for st in inv.states]
+    assert len(lines) == 70
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "42ead812d4404d640b2efebd944095930355dbb27c9c2067ce3b77b818d7d2a1")
