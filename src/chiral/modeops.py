@@ -12,8 +12,19 @@ an annihilation mode x_(n) kills every state of weight < n + 1 -
 fieldweight(x), and weights are never negative.  The symbol "gtilde" is
 the gamma family with the (-1) mode removed.
 
+A ModeOperator does each piece of work once.  Per weight bound it
+compiles its terms a single time, coefficients multiplied out and words
+grouped by their rightmost mode, which acts first; a group whose first
+mode kills a monomial is skipped whole.  It memoises the image of every
+monomial it meets, computed with the monomial's own weight as the bound.
+That is exact: the words at a bound K are exactly those that can act
+nonzero on some state of weight <= K, so a larger bound only adds words
+that kill the monomial.  apply sums the memoised images into a fresh
+dict, which callers may change in place.
+
 This route shares only the elementary mode action with the state-product
-engine; products of states are never used here.
+engine; products of states are never used here.  Every mode action goes
+through freefield.apply_word, a first mode as a one-mode word.
 """
 
 from __future__ import annotations
@@ -102,13 +113,17 @@ def mode_words(expr, n, bound):
 class ModeOperator:
     """A finite linear combination of field-expression modes.
 
-    pieces is a list of (coefficient, expr, n); words are materialized per
-    weight bound on demand.
+    pieces is a list of (coefficient, expr, n).  materialize(bound) lists
+    the (coefficient, word) terms for states of weight <= bound.  The
+    instance keeps those terms compiled per bound and the image of every
+    monomial it has met; both only grow.
     """
 
     def __init__(self, pieces):
         self.pieces = [(c if isinstance(c, (int, Fraction)) else Fraction(c), e, n)
                        for c, e, n in pieces]
+        self._compiled = {}  # bound -> ((first mode, ((coeff, tail), ...)), ...)
+        self._images = {}    # monomial -> {monomial: coeff}
 
     def materialize(self, bound):
         terms = []
@@ -117,11 +132,35 @@ class ModeOperator:
                 terms.append((coeff * c, word))
         return terms
 
-    def apply(self, state):
-        if not state:
-            return {}
-        bound = max(mon_weight(m) for m in state)
-        out = {}
+    def _compile(self, bound):
+        groups = {}
         for coeff, word in self.materialize(bound):
-            sadd(out, apply_word(word, state), coeff)
+            groups.setdefault(word[-1], []).append((coeff, word[:-1]))
+        compiled = tuple((first, tuple(tails)) for first, tails in groups.items())
+        self._compiled[bound] = compiled
+        return compiled
+
+    def _image(self, mon):
+        bound = mon_weight(mon)
+        groups = self._compiled.get(bound)
+        if groups is None:
+            groups = self._compile(bound)
+        out = {}
+        for first, tails in groups:
+            head = apply_word((first,), {mon: 1})
+            if not head:
+                continue
+            for coeff, tail in tails:
+                sadd(out, apply_word(tail, head), coeff)
+        self._images[mon] = out
+        return out
+
+    def apply(self, state):
+        out = {}
+        images = self._images
+        for mon, c in state.items():
+            img = images.get(mon)
+            if img is None:
+                img = self._image(mon)
+            sadd(out, img, c)
         return out

@@ -26,8 +26,11 @@ class Scalar:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        other = Scalar.coerce(other)
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, Scalar):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # real values hash like their Fraction so x == y implies equal hashes

@@ -81,3 +81,38 @@ def test_scount():
     assert mon_scount(((BETA, -1), (GAMMA, -2))) == 0
     assert mon_scount(((BETA, -1), (BETA, -2), (GAMMA, -2))) == 1
     assert mon_scount(((B, -1), (C, -1))) == 0
+
+
+def _series_mul(p, factor, kmax):
+    # product of two {(weight, charge, s): count} series, truncated in weight
+    out = {}
+    for (k1, l1, s1), a in p.items():
+        for (k2, l2, s2), b in factor.items():
+            if k1 + k2 <= kmax:
+                key = (k1 + k2, l1 + l2, s1 + s2)
+                out[key] = out.get(key, 0) + a * b
+    return out
+
+
+def test_counts_match_generating_function():
+    # coefficients of q^k y^l x^s in
+    #   prod_{n>=1} (1 + y^-1 q^n)(1 + y q^(n-1)) / ((1 - x q^n)(1 - x^-1 q^n)),
+    # one factor per b_(-n), c_(-n), beta_(-n) and gamma_(-n-1)
+    kmax = 12
+    series = {(0, 0, 0): 1}
+    for n in range(1, kmax + 2):
+        series = _series_mul(series, {(0, 0, 0): 1, (n, -1, 0): 1}, kmax)
+        series = _series_mul(series, {(0, 0, 0): 1, (n - 1, 1, 0): 1}, kmax)
+        for x in (1, -1):
+            geometric = {(n * j, 0, x * j): 1 for j in range(kmax // n + 1)}
+            series = _series_mul(series, geometric, kmax)
+    expected = {key: c for key, c in series.items() if c}
+    counts = {}
+    for k in range(kmax + 1):
+        for l in range(-(k + 2), k + 3):
+            for s, mons in split_by_s(enumerate_basis(k, l)).items():
+                counts[(k, l, s)] = len(mons)
+    assert counts == expected
+    totals = [sum(c for (k, _, _), c in counts.items() if k == w)
+              for w in range(kmax + 1)]
+    assert totals[:4] == [2, 8, 24, 64] and totals[kmax] == 28352

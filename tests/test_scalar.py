@@ -60,3 +60,14 @@ def test_exact_rationals_no_drift():
     for _ in range(3):
         total = total + third
     assert total == ONE
+
+
+def test_equality_with_foreign_types():
+    # only Scalar, int and Fraction compare by value; anything else is
+    # unequal without raising, so equal values always hash alike
+    assert Scalar(1) != "1"
+    assert "1" != Scalar(1)
+    assert Scalar(1) != None  # noqa: E711
+    assert Scalar(1) in [None, Scalar(1)]
+    assert Scalar(2) not in [None, "2", object()]
+    assert Scalar(0, 1) != 0 and Scalar(0, 1) != Fraction(0)
