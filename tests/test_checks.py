@@ -1,4 +1,8 @@
-from chiral import freefield
+import hashlib
+from fractions import Fraction
+
+from chiral import freefield, geometry
+from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
                            translation_failures)
@@ -33,3 +37,15 @@ def test_engine_sweep_catches_a_wrong_product(monkeypatch):
     assert fails[0] == ("translation: (T beta(-1))_(1) gamma(-1): "
                         "lhs = (-1) 1, rhs = (-2) 1")
     assert len(commutator_failures(((1, 1, 1, 1),), 2)) == 207
+
+
+def test_geometry_sweep_catches_a_wrong_adjoint(monkeypatch):
+    # plant v^2/3 for the v^2/2 of dbar_star: the recursion steps are off
+    # by a factor 2/3, so their residuals are nonzero and must be reported
+    monkeypatch.setattr(geometry, "_HALF_V2", ChartFn.v_pow(2, Fraction(1, 3)))
+    fails = geometry_failures(kmax=2, case3_kmax=0)
+    assert len(fails) == 23
+    assert fails[0] == ("recursion identity t=1 fails on c(-2): "
+                        "[gamma(-2) c(-1)](x)(1i/3)*v^2 dcg")
+    digest = hashlib.sha256("\n".join(fails).encode()).hexdigest()
+    assert digest == "823fafc21b9ff2c80f4d7bf27e2c3a8eab1dff08d0454b756a82d5d4a8ad2355"

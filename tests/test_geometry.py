@@ -1,10 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from chiral.basis import basis_block, enumerate_basis, mon_scount
 from chiral.chart import ChartFn
-from chiral.freefield import BETA, GAMMA, B, C, mon_charge, mon_weight
+from chiral.freefield import BETA, GAMMA, B, C, mon_charge, mon_str, mon_weight
 from chiral.geometry import (FormSection, case3_kernel, chain_residuals,
                              curvature_op, dbar_prime, dbar_star, dbar_total,
                              f1, f2, n1_fiber, nabla_gamma, seed_section,
@@ -162,3 +163,23 @@ def test_case3_block_identities():
                 sec = FormSection(deg0={mon: ONE_FN})
                 assert not f2(sec)
                 assert not dbar_prime(sec)
+
+
+def test_recursion_fixture():
+    # every chain and residual of the geometry_failures(kmax=5) sweep, as
+    # printed; the digest predates the split of chart coefficients by i
+    lines = []
+    for k in range(6):
+        for l in range(-(k + 2), k + 3):
+            for mon in enumerate_basis(k, l):
+                if l - mon_scount(mon) not in (1, 2):
+                    continue
+                chain = solve_recursion(seed_section(mon))
+                lines.extend("%s | a%d | %r" % (mon_str(mon), t, a)
+                             for t, a in enumerate(chain))
+                lines.extend("%s | r%d | %r" % (mon_str(mon), t, r)
+                             for t, r in enumerate(chain_residuals(chain)))
+    assert len({line.split(" | ")[0] for line in lines}) == 205
+    assert len(lines) == 2112
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "982d8eb4580bd045d39ffa6636ef1e4568ca8feb55c2d6d6df270a3edad25b06"
