@@ -89,6 +89,13 @@ def enumerate_basis(k: int, l: int):
     return tuple(out)
 
 
+def charges(k: int):
+    """A range holding every charge with a nonempty weight-k block: the
+    charge is #c - #b, and distinct b and c modes of total weight <= k
+    allow #b <= k and #c <= k + 1."""
+    return range(-(k + 2), k + 3)
+
+
 def split_by_s(mons):
     """Group monomials by s = #beta - #gamma; returns {s: tuple}, keys sorted."""
     groups = {}

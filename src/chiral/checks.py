@@ -7,21 +7,19 @@ callers can trade coverage for time; the defaults are sized for an
 interactive run.
 """
 
-from fractions import Fraction
-
-from .basis import enumerate_basis, enumerate_full, split_by_s
+from .basis import charges, enumerate_basis, enumerate_full, split_by_s
 from .chart import ChartFn, metric_data
 from .freefield import (VACUUM, _intern, _prod_mono, _state, binomial,
                         mon_charge, mon_parity, mon_str, mon_weight, normalize,
-                        nth_product, sadd, sscale, state_str, translate, B, C,
-                        GAMMA)
+                        nth_product, sadd, sscale, state_str, translate,
+                        weight_charge, B, C, GAMMA)
 from .scalar import I
 
 
 def _family(kmax, dmax):
     mons = []
     for k in range(kmax + 1):
-        for l in range(-(k + 2), k + 3):
+        for l in charges(k):
             mons.extend(enumerate_full(k, l, dmax))
     return mons
 
@@ -89,16 +87,6 @@ def normalization_failures():
     if normalize(list(key)) != even:
         _fail(fails, "normalization: idempotence", normalize(list(key)), even)
     return fails
-
-
-def _graded(state):
-    """(k, l) if homogeneous, None on the empty state, raise on mixed."""
-    grades = {(mon_weight(m), mon_charge(m)) for m in state}
-    if not grades:
-        return None
-    if len(grades) > 1:
-        raise AssertionError("inhomogeneous product %s" % state_str(state))
-    return grades.pop()
 
 
 def _commutator_failure(am, m, bm, n, xm, sign):
@@ -173,7 +161,7 @@ def _commutator_pairs(found, pairs, X, nbound, check_grading):
         for j in range(wa + wb):
             pj = _prod_mono(_intern(a), j, _intern(b))
             if pj:
-                if check_grading and (_graded(_state(pj))
+                if check_grading and (weight_charge(_state(pj))
                                       != (wa + wb - j - 1, la + lb)):
                     found.append(((i, k, 0, j), _failure(
                         "grading: %s_(%d)%s" % (mon_str(a), j, mon_str(b)),
@@ -252,7 +240,7 @@ def emptiness_failures(kmax=5):
     fails = []
     for k in range(kmax + 1):
         seen = set()
-        for l in range(-(k + 2), k + 3):
+        for l in charges(k):
             blocks = split_by_s(enumerate_basis(k, l))
             for s, mons in blocks.items():
                 if k < abs(s) and mons:
@@ -276,7 +264,7 @@ def sl2_failures(kmax=3, dmax=2, kernel_kmax=4):
         fails.append("bracket [L(%d),L(%d)] fails on %s at (%d,%d)"
                      % (i, j, mon_str(mon), k, l))
     for k in range(kernel_kmax + 1):
-        for l in range(-(k + 2), k + 3):
+        for l in charges(k):
             try:
                 inv = sl2.invariants(k, l, check=True)
             except ArithmeticError as exc:
@@ -309,7 +297,7 @@ def geometry_failures(kmax=2, case3_kmax=3):
         fails.append("metric: B_(0) theta != i: %r" % md.b0_theta)
     one = ChartFn.const(1)
     for k in range(kmax + 1):
-        for l in range(-(k + 2), k + 3):
+        for l in charges(k):
             for mon in enumerate_basis(k, l):
                 s = mon_scount(mon)
                 sec = geo.FormSection(deg0={mon: ChartFn.v_pow(1)})

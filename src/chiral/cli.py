@@ -19,6 +19,7 @@ import json
 import sys
 
 from . import checks
+from .basis import charges
 from .freefield import state_str
 from .geometry import dim_global, h0_canonical  # noqa: F401 (re-exported)
 from .sl2 import character, invariants
@@ -79,7 +80,7 @@ def cmd_verify(args):
 def cmd_hzero(args):
     entries = []
     for k in range(args.max_weight + 1):
-        for l in range(-(k + 2), k + 3):
+        for l in charges(k):
             d = dim_global(k, l, args.genus)
             if d:
                 entries.append((k, l, d))

@@ -1,10 +1,11 @@
-"""Sparse exact linear algebra over Gaussian rationals.
+"""Sparse exact linear algebra over the rationals.
 
-Gaussian elimination with the first nonzero entry in column order as pivot;
-no pivot-size heuristics, so results are deterministic for a given matrix.
+Entries are int or Fraction.  One routine, `_rref`, row reduces over Q
+and mod P, pivoting on the first nonzero entry in column order; no
+pivot-size heuristics, so results are deterministic for a given matrix.
 
-Kernel bases of matrices whose entries are all real are computed modulo
-the prime P = 2^61 - 1 and lifted back to the rationals:
+Kernel bases are computed modulo the prime P = 2^61 - 1 and lifted back
+to the rationals:
 
 1. each row is scaled by the lcm of its denominators to integers;
 2. the reduced row echelon form is taken mod P;
@@ -19,8 +20,9 @@ columns <= f, so M v_f = 0 makes f a free column over Q too.  The rank
 mod P is at most the rank over Q, so the free columns agree, and the
 reduced echelon kernel basis, being unique, is the same.  When a
 reconstruction or a certificate fails (the rank drops mod P, or a kernel
-entry is too large to reconstruct), or an entry has an imaginary part,
-the exact elimination over Gaussian rationals runs instead.
+entry is too large to reconstruct), `_rref` runs over Q on the same
+integer rows instead; scaling rows leaves the RREF unchanged.  Kernel
+vector entries are int when integral and Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .scalar import Scalar, ZERO, ONE
-
 P = (1 << 61) - 1
 # rational reconstruction returns n/d with |n|, d <= _RECON_BOUND
 _RECON_BOUND = isqrt(P // 2)
 
 
 class Matrix:
-    """Sparse rows x cols matrix; entries is a map (row, col) -> Scalar."""
+    """Sparse rows x cols matrix; entries maps (row, col) -> int or Fraction."""
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
@@ -46,12 +46,14 @@ class Matrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
-                v = Scalar.coerce(v)
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError("matrix entries are int or Fraction, not %s"
+                                    % type(v).__name__)
                 if v:
                     self.entries[(r, c)] = v
 
     def __getitem__(self, rc):
-        return self.entries.get(rc, ZERO)
+        return self.entries.get(rc, 0)
 
     def row_lists(self):
         out = [dict() for _ in range(self.rows)]
@@ -63,38 +65,8 @@ class Matrix:
         return "Matrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
 
 
-def _eliminate(m: Matrix):
-    """Reduced row echelon form of m; returns (rows as dicts, pivot columns)."""
-    rows = [r for r in m.row_lists() if r]
-    pivots = []
-    reduced = []
-    for col in range(m.cols):
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if r.get(col):
-                pivot_row = rows.pop(i)
-                break
-        if pivot_row is None:
-            continue
-        inv = pivot_row[col]
-        pivot_row = {c: v / inv for c, v in pivot_row.items()}
-        for r in rows + reduced:
-            f = r.get(col)
-            if f:
-                for c, v in pivot_row.items():
-                    w = r.get(c, ZERO) - f * v
-                    if w:
-                        r[c] = w
-                    elif c in r:
-                        del r[c]
-        rows = [r for r in rows if r]
-        pivots.append(col)
-        reduced.append(pivot_row)
-    return reduced, pivots
-
-
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m)[1])
+    return len(_rref(_integer_rows(m), m.cols, _inverse, _sub)[1])
 
 
 def kernel_basis(m: Matrix):
@@ -102,19 +74,23 @@ def kernel_basis(m: Matrix):
 
     Vector for free column f has a 1 in position f and the negated reduced
     column above the pivots, so the list is itself in reduced echelon form.
-    Computed mod P and certified when every entry is real (see above).
+    Computed mod P and certified, else over Q (see above).
     """
     rows = _integer_rows(m)
-    basis = None if rows is None else _modular_kernel(rows, m.cols)
+    basis = _modular_kernel(rows, m.cols)
     if basis is None:
-        basis = []
-        for f, column in _free_columns(*_eliminate(m), m.cols):
-            vec = [ZERO] * m.cols
-            vec[f] = ONE
-            for pcol, coeff in column:
-                vec[pcol] = -coeff
-            basis.append(vec)
+        reduced, pivots = _rref(rows, m.cols, _inverse, _sub)
+        basis = [_vector(m.cols, [(f, 1)] + [(pcol, -x) for pcol, x in column])
+                 for f, column in _free_columns(reduced, pivots, m.cols)]
     return basis
+
+
+def _vector(ncols, entries):
+    """Dense vector of (col, rational) entries, each an int if integral."""
+    vec = [0] * ncols
+    for c, x in entries:
+        vec[c] = x.numerator if x.denominator == 1 else x
+    return vec
 
 
 def _free_columns(reduced, pivots, ncols):
@@ -129,48 +105,46 @@ def _free_columns(reduced, pivots, ncols):
 
 def _integer_rows(m: Matrix):
     """The nonzero rows of m, each scaled by the lcm of its denominators,
-    as {col: int}; None if an entry has an imaginary part."""
+    as {col: int}."""
     out = []
     for row in m.row_lists():
-        if not row:
-            continue
-        if any(v.im for v in row.values()):
-            return None
-        den = lcm(*(v.re.denominator for v in row.values()))
-        out.append({c: v.re.numerator * (den // v.re.denominator)
-                    for c, v in row.items()})
+        if row:
+            den = lcm(*(v.denominator for v in row.values()))
+            out.append({c: v.numerator * (den // v.denominator)
+                        for c, v in row.items()})
     return out
 
 
 def _modular_kernel(int_rows, ncols):
     """kernel_basis of the integer rows via their RREF mod P, or None
-    when a lifted vector fails reconstruction or the exact certificate."""
+    when a lifted vector fails reconstruction or the exact certificate.
+    Leaves int_rows unchanged."""
     columns = {}
     for i, row in enumerate(int_rows):
         for c, a in row.items():
             columns.setdefault(c, []).append((i, a))
+    residues = [{c: x % P for c, x in row.items() if x % P} for row in int_rows]
     basis = []
-    for f, column in _free_columns(*_rref_mod_p(int_rows, ncols), ncols):
+    for f, column in _free_columns(*_rref(residues, ncols, _inverse_mod_p,
+                                          _sub_mod_p), ncols):
         lifted = _lift([(f, 1)] + [(pcol, P - x) for pcol, x in column])
         if lifted is None:
             return None
         nums, den = lifted
         if not _certified(nums, columns, len(int_rows)):
             return None
-        vec = [ZERO] * ncols
-        for c, n in nums.items():
-            vec[c] = Scalar(Fraction(n, den))
-        basis.append(vec)
+        basis.append(_vector(ncols, ((c, Fraction(n, den))
+                                     for c, n in nums.items())))
     return basis
 
 
-def _rref_mod_p(rows, ncols):
-    """Reduced row echelon form of the integer rows over the field of P
-    elements, with _eliminate's pivot rule; returns (rows, pivot columns).
-    Forward elimination first, then back substitution, so only fully
-    reduced rows are subtracted from the rows above them."""
-    rows = [r for r in ({c: x % P for c, x in row.items() if x % P}
-                        for row in rows) if r]
+def _rref(rows, ncols, inverse, sub):
+    """Reduced row echelon form of rows ({col: entry}, reduced in place)
+    over the field given by inverse(x) and sub(row, f, pivot_row), which
+    sets row -= f * pivot_row; returns (rows, pivot columns).  Forward
+    elimination first, then back substitution, so only fully reduced rows
+    are subtracted from the rows above them."""
+    rows = [r for r in rows if r]
     pivots = []
     reduced = []
     for col in range(ncols):
@@ -181,12 +155,13 @@ def _rref_mod_p(rows, ncols):
                 break
         if pivot_row is None:
             continue
-        inv = pow(pivot_row[col], -1, P)
-        pivot_row = {c: v * inv % P for c, v in pivot_row.items()}
+        scaled = {}  # 0 - (-1/pivot) * pivot_row, with a leading 1
+        sub(scaled, -inverse(pivot_row[col]), pivot_row)
+        pivot_row = scaled
         for r in rows:
             f = r.get(col)
             if f:
-                _sub_mod_p(r, f, pivot_row)
+                sub(r, f, pivot_row)
         rows = [r for r in rows if r]
         pivots.append(col)
         reduced.append(pivot_row)
@@ -195,8 +170,26 @@ def _rref_mod_p(rows, ncols):
         for r in reduced[:j]:
             f = r.get(col)
             if f:
-                _sub_mod_p(r, f, pivot_row)
+                sub(r, f, pivot_row)
     return reduced, pivots
+
+
+def _inverse(x):
+    return 1 / Fraction(x)
+
+
+def _sub(row, f, pivot_row):
+    """row -= f * pivot_row over Q, dropping entries that vanish."""
+    for c, v in pivot_row.items():
+        w = row.get(c, 0) - f * v
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)
+
+
+def _inverse_mod_p(x):
+    return pow(x, -1, P)
 
 
 def _sub_mod_p(row, f, pivot_row):
@@ -254,9 +247,9 @@ def _certified(nums, columns, nrows):
 
 
 def mat_vec(m: Matrix, vec):
-    out = [ZERO] * m.rows
+    out = [0] * m.rows
     for (r, c), v in m.entries.items():
         x = vec[c]
         if x:
-            out[r] = out[r] + v * x
+            out[r] += v * x
     return out

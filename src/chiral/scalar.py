@@ -1,6 +1,7 @@
 """Gaussian rational scalars: a + b*i with a, b exact rationals.
 
-No floating point anywhere.  Fraction keeps lowest terms with a positive
+No floating point anywhere: parts are int or Fraction, and any other
+operand gets NotImplemented.  Fraction keeps lowest terms with a positive
 denominator, so equality and hashing are structural.
 """
 
@@ -9,10 +10,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _scalar_operand(method):
+    """method(self, other) with other coerced to a Scalar; NotImplemented
+    for an operand that is not a Scalar, int or Fraction."""
+    def wrapper(self, other):
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return method(self, Scalar.coerce(other))
+    return wrapper
+
+
 class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("Scalar parts are int or Fraction")
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
@@ -38,8 +51,8 @@ class Scalar:
             return hash(self.re)
         return hash((self.re, self.im))
 
+    @_scalar_operand
     def __add__(self, other):
-        other = Scalar.coerce(other)
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -47,15 +60,16 @@ class Scalar:
     def __neg__(self):
         return Scalar(-self.re, -self.im)
 
+    @_scalar_operand
     def __sub__(self, other):
-        other = Scalar.coerce(other)
         return Scalar(self.re - other.re, self.im - other.im)
 
+    @_scalar_operand
     def __rsub__(self, other):
-        return Scalar.coerce(other) - self
+        return other - self
 
+    @_scalar_operand
     def __mul__(self, other):
-        other = Scalar.coerce(other)
         if not self.im and not other.im:
             return Scalar(self.re * other.re)
         return Scalar(
@@ -65,8 +79,8 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    @_scalar_operand
     def __truediv__(self, other):
-        other = Scalar.coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero Scalar")
         if not other.im:
@@ -77,8 +91,9 @@ class Scalar:
             (self.im * other.re - self.re * other.im) / n,
         )
 
+    @_scalar_operand
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) / self
+        return other / self
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)

@@ -22,11 +22,10 @@ is the kernel of Lplus(2) on the monomials where that count vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .basis import enumerate_basis, enumerate_full, mon_scount
-from .freefield import (B, BETA, C, GAMMA, Q_STATE, apply_mode, mon_charge,
-                        mon_weight, nth_product, sadd, sscale)
+from .basis import charges, enumerate_basis, enumerate_full
+from .freefield import (B, BETA, C, GAMMA, Q_STATE, apply_mode, nth_product,
+                        sadd, sscale)
 from .linalg import Matrix, kernel_basis
 from .modeops import ModeOperator, pair
 
@@ -85,7 +84,7 @@ def verify_relationL(kmax, dmax=2):
     extended basis state with weight <= kmax.  Returns failures."""
     failures = []
     for k in range(kmax + 1):
-        for l in range(-(kmax + 1), kmax + 2):
+        for l in charges(k):
             for mon in enumerate_full(k, l, dmax):
                 st = {mon: 1}
                 for i in range(3):
@@ -99,7 +98,7 @@ def verify_sl2_bracket(kmax, dmax=2):
     failures = []
     pairs = [(0, 1), (0, 2), (1, 2)]
     for k in range(kmax + 1):
-        for l in range(-(kmax + 1), kmax + 2):
+        for l in charges(k):
             for mon in enumerate_full(k, l, dmax):
                 st = {mon: 1}
                 for i, j in pairs:
@@ -126,7 +125,7 @@ def diagonal_monomials(mons):
 
 def kernel_states(mons, images):
     """Kernel of the linear map mon -> images[mon] on span(mons), as
-    states with exact rational coefficients."""
+    states with int (when integral) or Fraction coefficients."""
     mons = tuple(mons)
     row_mons = sorted({m for img in images for m in img})
     row_of = {m: i for i, m in enumerate(row_mons)}
@@ -135,16 +134,8 @@ def kernel_states(mons, images):
         for m, coeff in img.items():
             entries[(row_of[m], col)] = coeff
     mat = Matrix(len(row_mons), len(mons), entries)
-    states = []
-    for vec in kernel_basis(mat):
-        st = {}
-        for j, v in enumerate(vec):
-            if v:
-                if v.im:
-                    raise ArithmeticError("rational kernel expected")
-                st[mons[j]] = v.re if v.re.denominator > 1 else int(v.re)
-        states.append(st)
-    return states
+    return [{mons[j]: v for j, v in enumerate(vec) if v}
+            for vec in kernel_basis(mat)]
 
 
 @dataclass
@@ -173,11 +164,7 @@ def invariants(k, l, check=True):
 
 def charge_range(k):
     """All l with a nonempty positive-sector basis at weight k."""
-    out = []
-    for l in range(-(k + 2), k + 3):
-        if enumerate_basis(k, l):
-            out.append(l)
-    return out
+    return [l for l in charges(k) if enumerate_basis(k, l)]
 
 
 def character(kmax, check=True):

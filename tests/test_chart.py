@@ -89,6 +89,13 @@ def test_rejects_foreign_coefficients_and_operands():
     assert one != 1 and one != Scalar(1)
 
 
+def test_scalar_times_chartfn_from_either_side():
+    # Scalar.__mul__ declines a ChartFn, so ChartFn.__rmul__ runs
+    f = ChartFn({(0, 0): 1, (1, -2): Fraction(1, 2), (2, 1): Scalar(3, -1)})
+    assert I * f == f * I
+    assert Scalar(2, 1) * f == f * Scalar(2, 1)
+
+
 # The reference below is the dense Gaussian algorithm this module used
 # before its coefficients were split by the power of i: a dict
 # (u-degree, v-degree) -> Scalar, added and multiplied with Scalar

@@ -6,7 +6,7 @@ from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
                            translation_failures)
-from chiral.freefield import BETA, GAMMA, VACUUM_MON, _intern
+from chiral.freefield import BETA, C, GAMMA, VACUUM_MON, _intern
 
 
 def test_engine_sweep_clean():
@@ -37,6 +37,19 @@ def test_engine_sweep_catches_a_wrong_product(monkeypatch):
     assert fails[0] == ("translation: (T beta(-1))_(1) gamma(-1): "
                         "lhs = (-1) 1, rhs = (-2) 1")
     assert len(commutator_failures(((1, 1, 1, 1),), 2)) == 207
+
+
+def test_commutator_sweep_reports_a_mixed_grading(monkeypatch):
+    # plant beta(-1)_(0) gamma(-1) = 1 + c(-1), which mixes weights and
+    # charges: the sweep reports it as a grading failure and goes on
+    monkeypatch.setattr(freefield, "_prod_cache", {})
+    key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
+    freefield._prod_cache[key] = {_intern(VACUUM_MON): 1,
+                                  _intern(((C, -1),)): 1}
+    fails = commutator_failures(((1, 1, 1, 1),), 2)
+    assert ("grading: beta(-1)_(0)gamma(-1): lhs = (1) 1 + (1) c(-1), "
+            "rhs = 0") in fails
+    assert len(fails) == 283
 
 
 def test_geometry_sweep_catches_a_wrong_adjoint(monkeypatch):

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from chiral import linalg
+from chiral.basis import charges
 from chiral.linalg import Matrix, kernel_basis, mat_vec, rank
 from chiral.scalar import Scalar, I
+from chiral.sl2 import invariants
 
 
 def test_entry_validation():
-    m = Matrix(2, 2, {(0, 0): 1, (1, 1): Scalar(0, 1)})
+    m = Matrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 2)})
     assert m.entries[(0, 0)] == Scalar(1)
     with pytest.raises(IndexError):
         Matrix(2, 2, {(2, 0): 1})
@@ -35,11 +37,12 @@ def test_kernel_dimension_and_membership():
 
 
 def test_kernel_gaussian_entries():
-    # (1, i) row: kernel spanned by (-i, 1) after scaling
-    m = Matrix(1, 2, {(0, 0): 1, (0, 1): I})
-    ker = kernel_basis(m)
-    assert len(ker) == 1
-    assert all(not c for c in mat_vec(m, ker[0]))
+    # linalg works over Q: Gaussian entries, and Scalar entries of any
+    # value, are rejected when the matrix is built
+    with pytest.raises(TypeError):
+        Matrix(1, 2, {(0, 0): 1, (0, 1): I})
+    with pytest.raises(TypeError):
+        Matrix(1, 2, {(0, 0): 1, (0, 1): Scalar(1)})
 
 
 def test_kernel_reduced_echelon_deterministic():
@@ -144,3 +147,27 @@ def test_kernel_random_sparse_rank_deficient():
         rows = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
                  for j in range(ncols)] for i in range(nrows)]
         check_against_oracle(rows, ncols)
+
+
+def typed_states(states):
+    # int and Fraction compare equal, so the types are compared too
+    return [sorted((mon, type(c).__name__, c) for mon, c in st.items())
+            for st in states]
+
+
+def test_exact_path_matches_modular_on_invariant_blocks(monkeypatch):
+    # every invariant block through weight 6, once through the modular
+    # path and once with it declining, so the exact RREF over Q runs
+    blocks = [(k, l) for k in range(7) for l in charges(k)]
+    modular = {kl: typed_states(invariants(*kl, check=False).states)
+               for kl in blocks}
+    declined = []
+
+    def decline(int_rows, ncols):
+        declined.append(ncols)
+        return None
+
+    monkeypatch.setattr(linalg, "_modular_kernel", decline)
+    for kl in blocks:
+        assert typed_states(invariants(*kl, check=False).states) == modular[kl]
+    assert len(declined) == 25  # one per nonempty diagonal block

@@ -71,3 +71,21 @@ def test_equality_with_foreign_types():
     assert Scalar(1) in [None, Scalar(1)]
     assert Scalar(2) not in [None, "2", object()]
     assert Scalar(0, 1) != 0 and Scalar(0, 1) != Fraction(0)
+
+
+def test_rejects_floats_and_strings():
+    # parts and operands are int, Fraction or Scalar; nothing is parsed
+    # or rounded through Fraction
+    for bad in (0.5, "1/2", 1j):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(1, bad)
+        with pytest.raises(TypeError):
+            Scalar.coerce(bad)
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(TypeError):
+                op(Scalar(1), bad)
+            with pytest.raises(TypeError):
+                op(bad, Scalar(1))

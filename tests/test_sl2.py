@@ -6,6 +6,7 @@ import pytest
 from chiral.basis import enumerate_basis, enumerate_full
 from chiral.freefield import (BETA, GAMMA, B, C, G_STATE, L_STATE, nth_product,
                               sadd, sscale, state_str, translate)
+from chiral.geometry import case3_kernel
 from chiral.sl2 import (character, charge_range, diagonal_monomials,
                         gamma_shift, invariants, sl2_L, sl2_Lplus,
                         verify_relationL, verify_sl2_bracket)
@@ -121,3 +122,24 @@ def test_weight_8_invariant_bases_fixture():
     assert len(lines) == 70
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "42ead812d4404d640b2efebd944095930355dbb27c9c2067ce3b77b818d7d2a1")
+
+
+def test_typed_kernel_bases_fixture():
+    # every invariants(k, l) basis through weight 8 and every
+    # case3_kernel(k, s) for k <= 4, with each coefficient's type, so an
+    # int turning into an equal Fraction changes the digest; frozen from
+    # the Gaussian-rational linalg that preceded the one over Q
+    items = []
+    for k in range(9):
+        for l in charge_range(k):
+            for st in invariants(k, l).states:
+                items.append(("invariants", k, l, sorted(
+                    (mon, type(c).__name__, c) for mon, c in st.items())))
+    for k in range(5):
+        for s in range(-k, k + 1):
+            for st in case3_kernel(k, s):
+                items.append(("case3_kernel", k, s, sorted(
+                    (mon, type(c).__name__, c) for mon, c in st.items())))
+    assert len(items) == 148
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+        "27510037d0dc3accb90cd7d1efad4d77d7427cdb758cc5851393cc921a864ea8")
