@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freefield import BETA, GAMMA, B, C, mon_weight, mon_charge
+from .freefield import BETA, GAMMA, B, C
 
 
 def mon_scount(mon) -> int:

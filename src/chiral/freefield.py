@@ -18,6 +18,13 @@ have field weight 1 and gamma, c have field weight 0; charge counts
 #c - #b.  Weights of creation modes are >= 0, which is what makes every
 mode sum below finite.
 
+The action of one mode on a monomial (_apply_mode_mono) is the only
+place a Koszul sign is taken; apply_mode, apply_word and normalize are
+built on it and keep no memo.  Outside the product engine's own tables
+on ids, the one memo of mode action is the per-monomial image memo of
+each chiral.modeops.ModeOperator.  sadd is the one sparse add; it also
+does chiral.linalg's row updates over Q.
+
 The n-th product of two monomials is computed by the iterate formula
 (see _prod_mono) and memoised.  Inside that engine, and in the engine
 sweep of chiral.checks, monomials are interned: each distinct monomial
@@ -76,26 +83,16 @@ def normalize(modes, coeff=1):
     """Canonically order a raw creation-mode sequence.
 
     Returns a state: empty if an odd mode repeats, else one monomial with
-    the Koszul sign from permuting odd modes past each other.
+    the Koszul sign from permuting odd modes past each other.  The modes
+    act on the vacuum right to left through apply_mode.
     """
-    ordered = []
-    sign = 1
     for gen, idx in modes:
         if idx > -1:
             raise ValueError("normalize expects creation modes, got index %d" % idx)
-        key = (gen, idx)
-        pos = len(ordered)
-        crossings = 0
-        while pos > 0 and ordered[pos - 1] > key:
-            pos -= 1
-            crossings += PARITY[ordered[pos][0]]
-        if PARITY[gen]:
-            if pos > 0 and ordered[pos - 1] == key:
-                return {}
-            if crossings & 1:
-                sign = -sign
-        ordered.insert(pos, key)
-    return {tuple(ordered): coeff * sign} if coeff else {}
+    state = {VACUUM_MON: coeff} if coeff else {}
+    for gen, idx in reversed(modes):
+        state = apply_mode(gen, idx, state)
+    return state
 
 
 def _apply_mode_mono(gen, idx, mon):
@@ -131,24 +128,11 @@ def _apply_mode_mono(gen, idx, mon):
     return {m: c for m, c in out.items() if c}
 
 
-_apply_cache = {}
-
-
 def apply_mode(gen, idx, state):
     """Action of the generator mode x_(idx) on a state."""
     out = {}
     for mon, coeff in state.items():
-        key = (gen, idx, mon)
-        img = _apply_cache.get(key)
-        if img is None:
-            img = _apply_mode_mono(gen, idx, mon)
-            _apply_cache[key] = img
-        for m, c in img.items():
-            v = out.get(m, 0) + coeff * c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+        sadd(out, _apply_mode_mono(gen, idx, mon), coeff)
     return out
 
 

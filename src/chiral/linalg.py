@@ -30,6 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
+from .freefield import sadd
+
 P = (1 << 61) - 1
 # rational reconstruction returns n/d with |n|, d <= _RECON_BOUND
 _RECON_BOUND = isqrt(P // 2)
@@ -66,7 +68,7 @@ class Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(_integer_rows(m), m.cols, _inverse, _sub)[1])
+    return len(_rref(_integer_rows(m), m.cols, _inverse, sadd)[1])
 
 
 def kernel_basis(m: Matrix):
@@ -79,7 +81,7 @@ def kernel_basis(m: Matrix):
     rows = _integer_rows(m)
     basis = _modular_kernel(rows, m.cols)
     if basis is None:
-        reduced, pivots = _rref(rows, m.cols, _inverse, _sub)
+        reduced, pivots = _rref(rows, m.cols, _inverse, sadd)
         basis = [_vector(m.cols, [(f, 1)] + [(pcol, -x) for pcol, x in column])
                  for f, column in _free_columns(reduced, pivots, m.cols)]
     return basis
@@ -126,7 +128,7 @@ def _modular_kernel(int_rows, ncols):
     residues = [{c: x % P for c, x in row.items() if x % P} for row in int_rows]
     basis = []
     for f, column in _free_columns(*_rref(residues, ncols, _inverse_mod_p,
-                                          _sub_mod_p), ncols):
+                                          _sadd_mod_p), ncols):
         lifted = _lift([(f, 1)] + [(pcol, P - x) for pcol, x in column])
         if lifted is None:
             return None
@@ -138,10 +140,11 @@ def _modular_kernel(int_rows, ncols):
     return basis
 
 
-def _rref(rows, ncols, inverse, sub):
+def _rref(rows, ncols, inverse, add):
     """Reduced row echelon form of rows ({col: entry}, reduced in place)
-    over the field given by inverse(x) and sub(row, f, pivot_row), which
-    sets row -= f * pivot_row; returns (rows, pivot columns).  Forward
+    over the field given by inverse(x) and add(row, pivot_row, f), which
+    sets row += f * pivot_row, drops entries that vanish and returns row
+    (freefield.sadd over Q); returns (rows, pivot columns).  Forward
     elimination first, then back substitution, so only fully reduced rows
     are subtracted from the rows above them."""
     rows = [r for r in rows if r]
@@ -155,13 +158,11 @@ def _rref(rows, ncols, inverse, sub):
                 break
         if pivot_row is None:
             continue
-        scaled = {}  # 0 - (-1/pivot) * pivot_row, with a leading 1
-        sub(scaled, -inverse(pivot_row[col]), pivot_row)
-        pivot_row = scaled
+        pivot_row = add({}, pivot_row, inverse(pivot_row[col]))
         for r in rows:
             f = r.get(col)
             if f:
-                sub(r, f, pivot_row)
+                add(r, pivot_row, -f)
         rows = [r for r in rows if r]
         pivots.append(col)
         reduced.append(pivot_row)
@@ -170,7 +171,7 @@ def _rref(rows, ncols, inverse, sub):
         for r in reduced[:j]:
             f = r.get(col)
             if f:
-                sub(r, f, pivot_row)
+                add(r, pivot_row, -f)
     return reduced, pivots
 
 
@@ -178,28 +179,19 @@ def _inverse(x):
     return 1 / Fraction(x)
 
 
-def _sub(row, f, pivot_row):
-    """row -= f * pivot_row over Q, dropping entries that vanish."""
-    for c, v in pivot_row.items():
-        w = row.get(c, 0) - f * v
-        if w:
-            row[c] = w
-        else:
-            row.pop(c, None)
-
-
 def _inverse_mod_p(x):
     return pow(x, -1, P)
 
 
-def _sub_mod_p(row, f, pivot_row):
-    """row -= f * pivot_row mod P, dropping entries that vanish."""
+def _sadd_mod_p(row, pivot_row, f):
+    """row += f * pivot_row mod P, dropping entries that vanish."""
     for c, v in pivot_row.items():
-        w = (row.get(c, 0) - f * v) % P
+        w = (row.get(c, 0) + f * v) % P
         if w:
             row[c] = w
         else:
             row.pop(c, None)
+    return row
 
 
 def _lift(residues):

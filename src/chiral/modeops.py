@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freefield import (BETA, GAMMA, B, C, FIELD_WEIGHT, PARITY,
-                        apply_word, mon_weight, sadd)
+from .freefield import BETA, GAMMA, B, C, apply_word, mon_weight, sadd
 
 # symbol -> (generator, field weight, parity, excluded index or None)
 ATOMS = {
@@ -113,15 +112,19 @@ def mode_words(expr, n, bound):
 class ModeOperator:
     """A finite linear combination of field-expression modes.
 
-    pieces is a list of (coefficient, expr, n).  materialize(bound) lists
+    pieces is a list of (coefficient, expr, n); a coefficient that is not
+    an int or a Fraction raises TypeError.  materialize(bound) lists
     the (coefficient, word) terms for states of weight <= bound.  The
     instance keeps those terms compiled per bound and the image of every
     monomial it has met; both only grow.
     """
 
     def __init__(self, pieces):
-        self.pieces = [(c if isinstance(c, (int, Fraction)) else Fraction(c), e, n)
-                       for c, e, n in pieces]
+        self.pieces = list(pieces)
+        for c, _, _ in self.pieces:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("ModeOperator coefficients are int or Fraction, not %s"
+                                % type(c).__name__)
         self._compiled = {}  # bound -> ((first mode, ((coeff, tail), ...)), ...)
         self._images = {}    # monomial -> {monomial: coeff}
 

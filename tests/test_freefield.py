@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -30,6 +31,38 @@ def test_normalize_kills_repeated_odd_modes():
 def test_normalize_rejects_annihilation_modes():
     with pytest.raises(ValueError):
         normalize([(BETA, 0)])
+
+
+def test_normalize_rejects_annihilation_modes_in_any_position():
+    # a repeated odd mode must not hide an annihilation mode behind it
+    with pytest.raises(ValueError):
+        normalize([(B, -1), (B, -1), (BETA, 0)])
+    with pytest.raises(ValueError):
+        normalize([(BETA, 0), (B, -1), (B, -1)])
+
+
+def _normalize_oracle(modes, coeff):
+    """Sort the modes; the sign is (-1)^(odd-odd inversions), and the
+    state is zero if an odd mode repeats."""
+    odd = [m for m in modes if m[0] in (B, C)]
+    if len(set(odd)) < len(odd):
+        return {}
+    inversions = sum(1 for i, x in enumerate(odd) for y in odd[i + 1:] if x > y)
+    return {tuple(sorted(modes)): coeff * (-1) ** inversions}
+
+
+def test_normalize_matches_sort_and_sign_oracle():
+    rng = random.Random(20261018)
+    pool = [(g, n) for g in (BETA, GAMMA, B, C) for n in (-1, -2, -3)]
+    zero = 0
+    for _ in range(400):
+        modes = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        coeff = rng.choice((1, -2, 3))
+        expected = _normalize_oracle(modes, coeff)
+        zero += not expected
+        assert normalize(modes, coeff) == expected, modes
+    # both outcomes are exercised
+    assert 0 < zero < 400
 
 
 def test_normalize_idempotent():

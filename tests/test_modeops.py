@@ -2,6 +2,8 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from chiral.basis import enumerate_basis, enumerate_full
 from chiral.freefield import (BETA, GAMMA, B, C, VACUUM, apply_word, mon_charge,
                               mon_str, mon_weight, nth_product, sadd, sscale)
@@ -15,6 +17,14 @@ def test_expr_gradings():
     assert expr_parity("b") == 1
     assert expr_parity(pair("b", "c")) == 0
     assert expr_parity(pair(pair("gtilde", "c"), "b")) == 0
+
+
+def test_coefficients_must_be_exact():
+    for coeff in (0.5, "1/3"):
+        with pytest.raises(TypeError):
+            ModeOperator([(coeff, "beta", 0)])
+    op = ModeOperator([(Fraction(1, 3), "beta", 0), (2, "c", -1)])
+    assert [type(c) for c, _, _ in op.pieces] == [Fraction, int]
 
 
 def test_mode_words_truncation_consistency():
