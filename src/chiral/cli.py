@@ -11,7 +11,8 @@ Subcommands:
   classical section-count formula for powers of the canonical bundle.
 
 All output is deterministic: repeated runs produce identical bytes.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a weight
+above MAX_WEIGHT included).
 """
 
 import argparse
@@ -96,6 +97,20 @@ def _nonneg(text):
     return value
 
 
+# The largest weight accepted: the largest with a timing target and a
+# generating-function count oracle.  The invariant blocks widen about
+# 1.65x per weight (1,204 columns at 12), so larger weights are refused
+# before any computation starts.
+MAX_WEIGHT = 12
+
+
+def _weight(text):
+    value = _nonneg(text)
+    if value > MAX_WEIGHT:
+        raise argparse.ArgumentTypeError("must be at most %d" % MAX_WEIGHT)
+    return value
+
+
 def _genus(text):
     value = int(text)
     if value < 2:
@@ -113,13 +128,13 @@ def main(argv=None):
 
     p = sub.add_parser("character",
                        help="invariant-space dimensions up to a weight")
-    p.add_argument("--max-weight", type=_nonneg, required=True)
+    p.add_argument("--max-weight", type=_weight, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("invariants",
                        help="dimension and basis of one invariant block")
-    p.add_argument("--weight", type=_nonneg, required=True)
+    p.add_argument("--weight", type=_weight, required=True)
     p.add_argument("--charge", type=int, required=True)
     p.add_argument("--basis", action="store_true",
                    help="also print a kernel basis, one state per line")
@@ -138,7 +153,7 @@ def main(argv=None):
                     "genus formula (an extension on top of the exact "
                     "calculus; see h0_canonical).")
     p.add_argument("--genus", type=_genus, required=True)
-    p.add_argument("--max-weight", type=_nonneg, required=True)
+    p.add_argument("--max-weight", type=_weight, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_hzero)
 

@@ -1,28 +1,39 @@
 """Sparse exact linear algebra over the rationals.
 
 Entries are int or Fraction.  One routine, `_rref`, row reduces over Q
-and mod P, pivoting on the first nonzero entry in column order; no
-pivot-size heuristics, so results are deterministic for a given matrix.
+and mod p.  For each column it pivots on the row with the fewest
+entries among the rows that hold the column, the first such row on a
+tie, so results are deterministic for a given matrix; a sparse pivot
+row keeps the eliminated rows sparse.
 
-Kernel bases are computed modulo the prime P = 2^61 - 1 and lifted back
-to the rationals:
+Kernel bases are computed modulo the fixed primes `PRIMES` (the eight
+largest primes <= 2^61 - 1) and lifted back to the rationals
+(multimodular echelon forms, Stein, *Modular Forms*, ch. 7):
 
 1. each row is scaled by the lcm of its denominators to integers;
-2. the reduced row echelon form is taken mod P;
-3. each free-column kernel vector is lifted from its residues by
-   rational reconstruction;
+2. for each prime p in turn, the reduced row echelon form is taken
+   mod p; a prime whose pivot columns are worse than the best seen so
+   far (lower rank, or equal rank with later pivots) is unlucky and
+   skipped, and a better one replaces the residues kept so far;
+3. the residues of each free-column kernel vector are combined by CRT
+   into the product N of the primes kept, and every entry is lifted by
+   rational reconstruction with |numerator|, denominator <=
+   isqrt(N // 2) (Wang's extended Euclid);
 4. each lifted vector v is certified by checking M v = 0 in exact
-   integer arithmetic.
+   integer arithmetic, and the first N at which every vector passes
+   gives the answer.
 
 A certified lift is the exact answer.  The vector v_f of free column f
-has a 1 at f, zeros at the other free columns mod P and support in
+has a 1 at f, zeros at the other free columns mod p and support in
 columns <= f, so M v_f = 0 makes f a free column over Q too.  The rank
-mod P is at most the rank over Q, so the free columns agree, and the
-reduced echelon kernel basis, being unique, is the same.  When a
-reconstruction or a certificate fails (the rank drops mod P, or a kernel
-entry is too large to reconstruct), `_rref` runs over Q on the same
-integer rows instead; scaling rows leaves the RREF unchanged.  Kernel
-vector entries are int when integral and Fraction otherwise.
+mod p is at most the rank over Q, so the free columns agree, and the
+reduced echelon kernel basis, being unique, is the same; which primes
+were combined does not matter.  The primes are the cap: when they run
+out, after at most eight modular RREFs (every prime divides a pivot,
+or a kernel entry is too large to reconstruct from all of them),
+`_rref` runs over Q on the same integer rows instead;
+scaling rows leaves the RREF unchanged.  Kernel vector entries are int
+when integral and Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -32,9 +43,10 @@ from math import isqrt, lcm
 
 from .freefield import sadd
 
-P = (1 << 61) - 1
-# rational reconstruction returns n/d with |n|, d <= _RECON_BOUND
-_RECON_BOUND = isqrt(P // 2)
+# the eight largest primes <= 2^61 - 1, in descending order, written out
+# so that importing the module searches for none
+PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
+          2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391)
 
 
 class Matrix:
@@ -76,7 +88,8 @@ def kernel_basis(m: Matrix):
 
     Vector for free column f has a 1 in position f and the negated reduced
     column above the pivots, so the list is itself in reduced echelon form.
-    Computed mod P and certified, else over Q (see above).
+    Computed mod the primes in PRIMES, combined by CRT and certified, else
+    over Q (see above).
     """
     rows = _integer_rows(m)
     basis = _modular_kernel(rows, m.cols)
@@ -118,52 +131,67 @@ def _integer_rows(m: Matrix):
 
 
 def _modular_kernel(int_rows, ncols):
-    """kernel_basis of the integer rows via their RREF mod P, or None
-    when a lifted vector fails reconstruction or the exact certificate.
-    Leaves int_rows unchanged."""
+    """kernel_basis of the integer rows via their RREF mod the primes in
+    PRIMES, combined by CRT, or None when no product of them lifts every
+    vector past reconstruction and the exact certificate.  Leaves
+    int_rows unchanged."""
     columns = {}
     for i, row in enumerate(int_rows):
         for c, a in row.items():
             columns.setdefault(c, []).append((i, a))
-    residues = [{c: x % P for c, x in row.items() if x % P} for row in int_rows]
-    basis = []
-    for f, column in _free_columns(*_rref(residues, ncols, _inverse_mod_p,
-                                          _sadd_mod_p), ncols):
-        lifted = _lift([(f, 1)] + [(pcol, P - x) for pcol, x in column])
-        if lifted is None:
-            return None
-        nums, den = lifted
-        if not _certified(nums, columns, len(int_rows)):
-            return None
-        basis.append(_vector(ncols, ((c, Fraction(n, den))
-                                     for c, n in nums.items())))
-    return basis
+    best = None  # (-rank, pivot columns) of the primes kept
+    modulus = 1
+    vectors = []  # per free column, {col: residue mod modulus}
+    for p in PRIMES:
+        residues = [{c: x % p for c, x in row.items() if x % p}
+                    for row in int_rows]
+        reduced, pivots = _rref(residues, ncols, *_field_mod(p))
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue  # unlucky prime
+        new = [dict([(f, 1)] + [(pcol, p - x) for pcol, x in column])
+               for f, column in _free_columns(reduced, pivots, ncols)]
+        if key != best:
+            best, modulus, vectors = key, p, new
+        else:
+            vectors = [_crt(old, modulus, v, p) for old, v in zip(vectors, new)]
+            modulus *= p
+        bound = isqrt(modulus // 2)
+        basis = []
+        for vec in vectors:
+            lifted = _lift(vec.items(), modulus, bound)
+            if lifted is None or not _certified(lifted[0], columns,
+                                                len(int_rows)):
+                break
+            nums, den = lifted
+            basis.append(_vector(ncols, ((c, Fraction(n, den))
+                                         for c, n in nums.items())))
+        else:
+            return basis
+    return None
 
 
 def _rref(rows, ncols, inverse, add):
     """Reduced row echelon form of rows ({col: entry}, reduced in place)
     over the field given by inverse(x) and add(row, pivot_row, f), which
     sets row += f * pivot_row, drops entries that vanish and returns row
-    (freefield.sadd over Q); returns (rows, pivot columns).  Forward
-    elimination first, then back substitution, so only fully reduced rows
-    are subtracted from the rows above them."""
+    (freefield.sadd over Q); returns (rows, pivot columns).  Each column
+    pivots on its sparsest row (the first on a tie).  Forward elimination
+    first, then back substitution, so only fully reduced rows are
+    subtracted from the rows above them."""
     rows = [r for r in rows if r]
     pivots = []
     reduced = []
     for col in range(ncols):
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if col in r:
-                pivot_row = rows.pop(i)
-                break
-        if pivot_row is None:
+        holders = [r for r in rows if col in r]
+        if not holders:
             continue
-        pivot_row = add({}, pivot_row, inverse(pivot_row[col]))
-        for r in rows:
-            f = r.get(col)
-            if f:
-                add(r, pivot_row, -f)
-        rows = [r for r in rows if r]
+        chosen = min(holders, key=len)
+        pivot_row = add({}, chosen, inverse(chosen[col]))
+        for r in holders:
+            if r is not chosen:
+                add(r, pivot_row, -r[col])
+        rows = [r for r in rows if r and r is not chosen]
         pivots.append(col)
         reduced.append(pivot_row)
     for j in range(len(reduced) - 1, 0, -1):
@@ -179,34 +207,50 @@ def _inverse(x):
     return 1 / Fraction(x)
 
 
-def _inverse_mod_p(x):
-    return pow(x, -1, P)
+def _field_mod(p):
+    """(inverse, add) of _rref for the integers mod the prime p."""
+
+    def inverse(x):
+        return pow(x, -1, p)
+
+    def add(row, pivot_row, f):
+        """row += f * pivot_row mod p, dropping entries that vanish."""
+        for c, v in pivot_row.items():
+            w = (row.get(c, 0) + f * v) % p
+            if w:
+                row[c] = w
+            else:
+                row.pop(c, None)
+        return row
+
+    return inverse, add
 
 
-def _sadd_mod_p(row, pivot_row, f):
-    """row += f * pivot_row mod P, dropping entries that vanish."""
-    for c, v in pivot_row.items():
-        w = (row.get(c, 0) + f * v) % P
-        if w:
-            row[c] = w
-        else:
-            row.pop(c, None)
-    return row
+def _crt(a, m, b, p):
+    """The residues mod m * p that are a[c] mod m and b[c] mod p, for
+    coprime m and p; a and b map col -> residue, an absent col is 0."""
+    m_inv = pow(m, -1, p)
+    out = {}
+    for c in a.keys() | b.keys():
+        x = a.get(c, 0)
+        out[c] = x + m * ((b.get(c, 0) - x) * m_inv % p)
+    return out
 
 
-def _lift(residues):
-    """Rational reconstruction of a vector given as (col, residue mod P)
-    pairs: (integer numerators by column, common denominator), or None."""
+def _lift(residues, modulus, bound):
+    """Rational reconstruction of a vector given as (col, residue mod
+    modulus) pairs, every entry n/d with |n|, d <= bound: (integer
+    numerators by column, common denominator), or None."""
     den = 1
     parts = []
     for c, x in residues:
-        y = x * den % P
-        if y <= _RECON_BOUND:
+        y = x * den % modulus
+        if y <= bound:
             n, d = y, 1
-        elif P - y <= _RECON_BOUND:
-            n, d = y - P, 1
+        elif modulus - y <= bound:
+            n, d = y - modulus, 1
         else:
-            nd = _reconstruct(y)
+            nd = _reconstruct(y, modulus, bound)
             if nd is None:
                 return None
             n, d = nd
@@ -215,16 +259,16 @@ def _lift(residues):
     return {c: n * (den // part_den) for c, n, part_den in parts}, den
 
 
-def _reconstruct(y):
-    """n/d with n = d y mod P, |n| <= _RECON_BOUND and 0 < d <=
-    _RECON_BOUND (Wang's extended Euclid), or None."""
-    r0, r1 = P, y
+def _reconstruct(y, modulus, bound):
+    """n/d with n = d y mod modulus, |n| <= bound and 0 < d <= bound
+    (Wang's extended Euclid), or None."""
+    r0, r1 = modulus, y
     t0, t1 = 0, 1
-    while r1 > _RECON_BOUND:
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _RECON_BOUND:
+    if abs(t1) > bound:
         return None
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 

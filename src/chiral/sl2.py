@@ -22,6 +22,7 @@ is the kernel of Lplus(2) on the monomials where that count vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .basis import charges, enumerate_basis, enumerate_full
 from .freefield import (B, BETA, C, GAMMA, Q_STATE, apply_mode, nth_product,
@@ -147,7 +148,16 @@ class InvariantSpace:
 
 
 def invariants(k, l, check=True):
-    """Basis of the invariant subspace in weight k, charge l."""
+    """Basis of the invariant subspace in weight k, charge l.
+
+    The basis is the kernel of Lplus(2) on the diagonal monomials.  With
+    check, every basis state must also be killed by L(0), L(1) and L(2)
+    of the state-product route.  L(i) is linear, so the check runs on
+    each state's primitive integer multiple (the state times the lcm of
+    its coefficient denominators, primitive because the state has a
+    coefficient 1) and sees only int coefficients; the returned states
+    keep their int/Fraction coefficients.
+    """
     block = diagonal_monomials(enumerate_basis(k, l))
     if not block:
         return InvariantSpace(k, l, 0, ())
@@ -155,8 +165,11 @@ def invariants(k, l, check=True):
     states = kernel_states(block, images)
     if check:
         for st in states:
+            den = lcm(*(c.denominator for c in st.values()))
+            scaled = {mon: c.numerator * (den // c.denominator)
+                      for mon, c in st.items()}
             for i in range(3):
-                if sl2_L(i, st):
+                if sl2_L(i, scaled):
                     raise ArithmeticError(
                         "state-product route disagrees at (%d, %d)" % (k, l))
     return InvariantSpace(k, l, dim=len(states), states=tuple(states))

@@ -141,11 +141,16 @@ def test_usage_errors_exit_2(capsys):
     for argv in (["hzero", "--genus", "1", "--max-weight", "0"],
                  ["character", "--max-weight", "-1"],
                  ["verify", "--suite", "nope"],
-                 []):
+                 [],
+                 ["character", "--max-weight", "13"],
+                 ["hzero", "--genus", "2", "--max-weight", "13"],
+                 ["invariants", "--weight", "13", "--charge", "0"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if "13" in argv:
+            assert "must be at most 12" in err
 
 
 def test_character_weight_8_stdout_fixture(capsys):
@@ -153,6 +158,15 @@ def test_character_weight_8_stdout_fixture(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0489de95447e08bf8bcbe21c9050deb04491d8f9417887290f18ee1db08b81e8")
+
+
+def test_character_weight_10_stdout_fixture(capsys):
+    # frozen from the single-prime kernel with its exact fallback over Q,
+    # which took minutes on blocks (10, 0) and (10, 1)
+    rc, out = run(["character", "--max-weight", "10"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c200feb9195d7d415fb28563ae8ddd7950e1558734c3c82da7a15708e17eae4")
 
 
 def python_warnings_as_errors(*args):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
@@ -60,10 +61,12 @@ def test_rank_nullity():
     assert rank(m) + len(kernel_basis(m)) == 4
 
 
-# The kernel of a real matrix is computed mod 2^61 - 1, lifted and
-# certified, falling back to exact elimination; every case below is
-# compared against this dense Fraction Gauss-Jordan oracle.
+# The kernel of a real matrix is computed mod the primes in
+# linalg.PRIMES, combined by CRT, lifted and certified, falling back to
+# exact elimination; every case below is compared against this dense
+# Fraction Gauss-Jordan oracle.
 P61 = 2**61 - 1
+ALL_PRIMES = prod(linalg.PRIMES)
 
 
 def oracle_kernel(rows, ncols):
@@ -109,24 +112,99 @@ def modular_declines(m):
 
 
 def test_kernel_unlucky_prime_falls_back():
-    # the prime divides the only pivot over Q: rank 0 mod p, rank 1 over Q
-    m = check_against_oracle([[P61, 1]], 2)
+    # every prime divides the only pivot over Q: the pivot column moves
+    # mod p, and no product of the primes gives a certified vector
+    m = check_against_oracle([[ALL_PRIMES, 1]], 2)
     assert modular_declines(m)
-    check_against_oracle([[P61, 1], [2 * P61, 2]], 2)
-    check_against_oracle([[1, 1, 0], [1, 1 + P61, 1]], 3)
+    check_against_oracle([[ALL_PRIMES, 1], [2 * ALL_PRIMES, 2]], 2)
+    check_against_oracle([[1, 1, 0], [1, 1 + ALL_PRIMES, 1]], 3)
 
 
 def test_kernel_reconstruction_overflow_falls_back():
-    # kernel entry -1/3^40 has a denominator beyond the reconstruction bound
-    m = check_against_oracle([[3**40, 1]], 2)
+    # kernel entry -1/3^160 has a denominator beyond the reconstruction
+    # bound isqrt(prod(PRIMES) // 2) of all the primes together
+    m = check_against_oracle([[3**160, 1]], 2)
     assert modular_declines(m)
-    check_against_oracle([[3**40, 5**30, 7]], 3)
+    check_against_oracle([[3**160, 5**30, 7]], 3)
 
 
 def test_kernel_entry_with_prime_denominator():
-    m = check_against_oracle([[Fraction(1, P61), 1]], 2)
+    m = check_against_oracle([[Fraction(1, ALL_PRIMES), 1]], 2)
     assert modular_declines(m)
-    check_against_oracle([[Fraction(1, P61), 1, 0], [0, 1, Fraction(2, 3)]], 3)
+    check_against_oracle(
+        [[Fraction(1, ALL_PRIMES), 1, 0], [0, 1, Fraction(2, 3)]], 3)
+
+
+def test_kernel_first_prime_unlucky_second_lucky():
+    # 2^61 - 1 divides the pivot, so mod the first prime the pivot moves to
+    # column 1; the second prime puts it back at column 0 and replaces the
+    # first prime's residues, and the kernel entry -1/P61 reconstructs once
+    # enough of the later primes are combined
+    m = check_against_oracle([[P61, 1]], 2)
+    assert not modular_declines(m)
+
+
+def test_kernel_later_unlucky_prime_is_skipped():
+    # the second prime divides the pivot: its residues are skipped, and
+    # the other seven primes together, but no six of them, reconstruct
+    # the kernel entry -1/den
+    den = linalg.PRIMES[1] * 3**90
+    six = prod(linalg.PRIMES[2:])
+    assert isqrt(six // 2) < den < isqrt(linalg.PRIMES[0] * six // 2)
+    m = check_against_oracle([[den, 1]], 2)
+    assert not modular_declines(m)
+
+
+def test_kernel_needs_two_primes(monkeypatch):
+    # a kernel entry with a 51-bit numerator and a 45-bit denominator, like
+    # the entries of block (10, 0): too large for one 61-bit prime,
+    # reconstructed from two without falling back
+    num, den = 2**50 + 1, 3**28
+    rows = [[den, num, 0], [0, 1, 1]]
+    m = check_against_oracle(rows, 3)
+    assert not modular_declines(m)
+    primes = linalg.PRIMES
+    monkeypatch.setattr(linalg, "PRIMES", primes[:1])
+    assert modular_declines(m)
+    monkeypatch.setattr(linalg, "PRIMES", primes[:2])
+    expected = [[Fraction(num, den), Fraction(-1), Fraction(1)]]
+    assert oracle_kernel(rows, 3) == expected
+    assert linalg._modular_kernel(linalg._integer_rows(m), 3) == expected
+
+
+def is_prime(n):
+    """Miller-Rabin with the first twelve primes as bases, deterministic
+    for n < 3.1 * 10^23 (Sorenson and Webster), far above 2^61."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_are_the_largest_below_2_61():
+    primes = linalg.PRIMES
+    assert primes[0] == P61
+    assert list(primes) == sorted(set(primes), reverse=True)
+    assert all(is_prime(p) for p in primes)
+    # no prime is skipped between them
+    assert [n for n in range(primes[-1], P61 + 1) if is_prime(n)] == \
+        sorted(primes)
 
 
 def test_kernel_random_sparse_rank_deficient():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chiral import linalg, sl2
 from chiral.basis import enumerate_basis, enumerate_full
 from chiral.freefield import (BETA, GAMMA, B, C, G_STATE, L_STATE, nth_product,
                               sadd, sscale, state_str, translate)
@@ -143,3 +144,20 @@ def test_typed_kernel_bases_fixture():
     assert len(items) == 148
     assert hashlib.sha256(repr(items).encode()).hexdigest() == (
         "27510037d0dc3accb90cd7d1efad4d77d7427cdb758cc5851393cc921a864ea8")
+
+
+def test_check_rejects_a_perturbed_fraction_state(monkeypatch):
+    # the state-product check runs on integer multiples of the kernel
+    # states; a kernel vector of (3, 0), which has Fraction entries, moved
+    # off the kernel by 1/3 at one coordinate must still be caught
+    def perturbed(mat):
+        (vec,) = linalg.kernel_basis(mat)
+        j = next(j for j, x in enumerate(vec) if isinstance(x, Fraction))
+        vec[j] += Fraction(1, 3)
+        return [vec]
+
+    monkeypatch.setattr(sl2, "kernel_basis", perturbed)
+    assert invariants(3, 0, check=False).dim == 1
+    with pytest.raises(ArithmeticError,
+                       match=r"state-product route disagrees at \(3, 0\)"):
+        invariants(3, 0, check=True)
