@@ -15,7 +15,11 @@ positive-sector fiber monomials and f, g chart functions.  The operators:
   A chart function keeps its coefficients split by the power of i, so
   that factor only moves entries between the real and imaginary slots.
   f1 drops s by one, f2 by two; both raise form degree, so they vanish
-  on degree-1 input on a curve.
+  on degree-1 input on a curve.  The n1 image of each fiber monomial is
+  memoised, and a section keeps its own f1 and f2 images, so
+  chain_residuals reuses the images solve_recursion computed for the
+  same chain entries; dbar_total on a summed section, a new object,
+  recomputes them.
 
 The total differential on a curve is dbar_prime + f1 + f2, and a
 dbar_prime-closed seed in a block with l - s > 0 extends to a closed
@@ -45,18 +49,30 @@ _IMGAMMA_SQ = ChartFn.v_pow(2, Fraction(-1, 4))  # (Im gamma)^2 = -v^2/4
 
 
 def _clean(part):
-    return {m: f for m, f in (part or {}).items() if f}
+    part = part or {}
+    for f in part.values():
+        if not isinstance(f, ChartFn):
+            raise TypeError("section coefficients are ChartFn, not %s"
+                            % type(f).__name__)
+    return {m: f for m, f in part.items() if f}
 
 
 class FormSection:
     """deg0 and deg1 map fiber monomials to chart coefficients; deg1 is
-    the dconj(gamma) component."""
+    the dconj(gamma) component.  A coefficient that is not a ChartFn
+    raises TypeError.
 
-    __slots__ = ("deg0", "deg1")
+    A section is a value: nothing changes deg0 or deg1 after
+    construction, so a section keeps its f1 and f2 images once they are
+    computed, and every later call returns the same image object.
+    """
+
+    __slots__ = ("deg0", "deg1", "_f1", "_f2")
 
     def __init__(self, deg0=None, deg1=None):
         self.deg0 = _clean(deg0)
         self.deg1 = _clean(deg1)
+        self._f1 = self._f2 = None
 
     def __bool__(self):
         return bool(self.deg0) or bool(self.deg1)
@@ -138,31 +154,53 @@ _N1_RAT = ModeOperator([
 _GG_MINUS1 = ModeOperator([(1, pair("gtilde", "gtilde"), -1)])
 
 
+_n1_images = {}  # fiber monomial -> its n1_fiber image; only grows
+
+
+def _n1_image(mon):
+    """The n1_fiber image of one monomial, computed once and shared:
+    callers must not change it."""
+    img = _n1_images.get(mon)
+    if img is None:
+        state = {mon: 1}
+        img = _N1_RAT.apply(state)
+        b0 = apply_mode(BETA, 0, state)
+        if b0:
+            sadd(img, _GG_MINUS1.apply(b0), Fraction(-1, 2))
+        _n1_images[mon] = img
+    return img
+
+
 def n1_fiber(state):
     """Rational part of the degree-raising fiber operator:
     ::gtilde c: b:_(0) + (1/2)(::gtilde gtilde: beta:_(0)
-    - :gtilde gtilde:_(-1) beta_(0))."""
-    out = _N1_RAT.apply(state)
-    b0 = apply_mode(BETA, 0, state)
-    if b0:
-        sadd(out, _GG_MINUS1.apply(b0), Fraction(-1, 2))
+    - :gtilde gtilde:_(-1) beta_(0)).  Sums the memoised image of each
+    monomial into a fresh dict, which callers may change in place."""
+    out = {}
+    for mon, c in state.items():
+        sadd(out, _n1_image(mon), c)
     return out
 
 
 def f1(sec: FormSection) -> FormSection:
+    if sec._f1 is not None:
+        return sec._f1
     out = {}
     for mon, f in sec.deg0.items():
-        img = n1_fiber({mon: 1})
+        img = _n1_image(mon)
         if not img:
             continue
         base = f.scale(I)
         for m2, c in img.items():
             g = base.scale(c)
             out[m2] = out[m2] + g if m2 in out else g
-    return FormSection(deg1=out)
+    sec._f1 = FormSection(deg1=out)
+    return sec._f1
 
 
 def f2(sec: FormSection) -> FormSection:
+    if sec._f2 is not None:
+        return sec._f2
     out = {}
     for mon, f in sec.deg0.items():
         coeff = _IMGAMMA_SQ * f.d_gamma()
@@ -171,7 +209,8 @@ def f2(sec: FormSection) -> FormSection:
         for m2, c in _GG_MINUS1.apply({mon: 1}).items():
             g = coeff.scale(c)
             out[m2] = out[m2] + g if m2 in out else g
-    return FormSection(deg1=out)
+    sec._f2 = FormSection(deg1=out)
+    return sec._f2
 
 
 def dbar_total(sec: FormSection) -> FormSection:
@@ -235,7 +274,10 @@ def solve_recursion(seed: FormSection, max_steps=None):
 def chain_residuals(chain):
     """The defining identities of a recursion chain: entry t is
     dbar_prime(a_{s-t}) + f1(a_{s-t+1}) + f2(a_{s-t+2}), all of which
-    must vanish, together with t = 0 giving dbar_prime(a_s)."""
+    must vanish, together with t = 0 giving dbar_prime(a_s).  An empty
+    chain raises ValueError."""
+    if not chain:
+        raise ValueError("chain_residuals needs a nonempty chain")
     zero = FormSection()
     padded = list(chain) + [zero, zero]
     out = [dbar_prime(chain[0])]

@@ -1,15 +1,18 @@
 import hashlib
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from chiral import freefield
 from chiral.checks import _family
 from chiral.freefield import (BETA, GAMMA, B, C, VACUUM, VACUUM_MON, Q_STATE,
                               L_STATE, J_STATE, G_STATE, apply_mode,
                               apply_word, binomial, mon_charge, mon_parity,
                               mon_weight, mon_str, normalize, nth_product,
                               sadd, sscale, ssub, state_str, translate,
-                              weight_charge, wick)
+                              weight_charge, wick, _intern)
 
 
 def test_normalize_ordering_and_sign():
@@ -197,3 +200,50 @@ def test_product_table_fixture():
     assert len(fam) == 68 and len(lines) == 23120
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "76480c1a95dc5377c6548278a49342d534e778885881c8341a80221e927706bc"
+
+
+def _skew_failures(mons, ns):
+    """The (a, b, n) among monomials a, b and n in ns that break skew-
+    symmetry, b_(n)a = -(-1)^{|a||b|} sum_j (-1)^{n+j} T^j(a_(n+j)b)/j!.
+    The sum stops once a_(n+j)b falls below weight 0.  T^j is applied
+    monomial by monomial and kept per (monomial, j), since the products
+    share most of their monomials."""
+    powers = {}
+
+    def tpow(mon, j):
+        hit = powers.get((mon, j))
+        if hit is None:
+            hit = {mon: 1} if j == 0 else translate(tpow(mon, j - 1))
+            powers[(mon, j)] = hit
+        return hit
+
+    fails = []
+    for am in mons:
+        for bm in mons:
+            sign = -1 if mon_parity(am) and mon_parity(bm) else 1
+            for n in ns:
+                lhs = nth_product({bm: 1}, n, {am: 1})
+                rhs = {}
+                for j in range(max(mon_weight(am) + mon_weight(bm) - n, 0)):
+                    f = Fraction(-sign if (n + j) % 2 == 0 else sign, factorial(j))
+                    for mon, c in nth_product({am: 1}, n + j, {bm: 1}).items():
+                        sadd(rhs, tpow(mon, j), f * c)
+                if lhs != rhs:
+                    fails.append((mon_str(am), mon_str(bm), n))
+    return fails
+
+
+def test_skew_symmetry():
+    # the 68 monomials of the product-table fixture, every ordered pair
+    # and n in [-2, 2]: 23,120 identities
+    assert _skew_failures(_family(2, 1), range(-2, 3)) == []
+
+
+def test_skew_symmetry_catches_a_wrong_product(monkeypatch):
+    # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
+    monkeypatch.setattr(freefield, "_prod_cache", {})
+    key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
+    freefield._prod_cache[key] = {_intern(VACUUM_MON): 2}
+    fails = _skew_failures(_family(1, 1), range(-2, 3))
+    assert sorted(fails) == [("beta(-1)", "gamma(-1)", 0),
+                             ("gamma(-1)", "beta(-1)", 0)]

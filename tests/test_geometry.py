@@ -165,6 +165,58 @@ def test_case3_block_identities():
                 assert not dbar_prime(sec)
 
 
+def test_form_section_rejects_non_chart_coefficients():
+    for bad in (1, Fraction(1, 2), I, "1"):
+        with pytest.raises(TypeError):
+            FormSection(deg0={((BETA, -1),): bad})
+        with pytest.raises(TypeError):
+            FormSection(deg1={((BETA, -1),): bad})
+
+
+def test_chain_residuals_rejects_an_empty_chain():
+    with pytest.raises(ValueError, match="nonempty"):
+        chain_residuals([])
+
+
+def _recursion_seeds(kmax):
+    # the seeds of the geometry_failures sweep: l - s in (1, 2)
+    for k in range(kmax + 1):
+        for l in range(-(k + 2), k + 3):
+            for mon in enumerate_basis(k, l):
+                if l - mon_scount(mon) in (1, 2):
+                    yield mon
+
+
+def test_kept_f_images_match_fresh_sections():
+    # solve_recursion fills f1/f2 on its chain entries and
+    # chain_residuals reads them back; both must equal the images of an
+    # equal section built afresh, and a second call must agree
+    for mon in _recursion_seeds(5):
+        chain = solve_recursion(seed_section(mon))
+        chain_residuals(chain)
+        for a in chain:
+            fresh = FormSection(a.deg0, a.deg1)
+            for op in (f1, f2):
+                img = op(a)
+                assert img == op(fresh)
+                assert op(a) == img
+
+
+def test_n1_fiber_returns_fresh_dicts():
+    # callers may add into the result in place; that must not reach the
+    # memoised image
+    for st in ({((BETA, -1),): 1}, {((B, -1), (C, -2)): 1},
+               {((BETA, -1),): 1, ((BETA, -2), (C, -1)): Fraction(3, 2)}):
+        expected = dict(n1_fiber(st))
+        assert expected
+        got = n1_fiber(st)
+        got[((C, -1),)] = 7
+        assert n1_fiber(st) == expected
+        n1_fiber(st).clear()
+        assert n1_fiber(st) == expected
+    assert n1_fiber({}) == {}
+
+
 def test_recursion_fixture():
     # every chain and residual of the geometry_failures(kmax=5) sweep, as
     # printed; the digest predates the split of chart coefficients by i
