@@ -9,10 +9,10 @@ interactive run.
 
 from .basis import charges, enumerate_basis, enumerate_full, split_by_s
 from .chart import ChartFn, metric_data
-from .freefield import (VACUUM, _intern, _prod_mono, _state, binomial,
-                        mon_charge, mon_parity, mon_str, mon_weight, normalize,
-                        nth_product, sadd, sscale, state_str, translate,
-                        weight_charge, B, C, GAMMA)
+from .freefield import (VACUUM, _intern, _prod_mono, _prod_row, _state,
+                        binomial, mon_charge, mon_parity, mon_str, mon_weight,
+                        normalize, nth_product, sadd, sscale, state_str,
+                        translate, weight_charge, B, C, GAMMA)
 from .scalar import I
 
 
@@ -56,13 +56,23 @@ def translation_failures(amax=3, xmax=2, adeg=2, xdeg=1, nbound=3):
         ia = _intern(am)
         ta = translate({am: 1})
         tids = [(_intern(tm), ct) for tm, ct in ta.items()]
+        # the memo rows of a_(n-1) and of each monomial of (T a)_(n)
+        rows = [(n, _prod_row(ia, n - 1),
+                 [(it, ct, _prod_row(it, n)) for it, ct in tids])
+                for n in span]
         for xm, ix in X:
-            for n in span:
+            for n, arow, trows in rows:
                 # lhs - rhs, accumulated on ids
-                diff = {k: n * c for k, c in _prod_mono(ia, n - 1, ix).items()}
+                p = arow.get(ix)
+                if p is None:
+                    p = _prod_mono(ia, n - 1, ix)
+                diff = {k: n * c for k, c in p.items()}
                 get = diff.get
-                for it, ct in tids:
-                    for k, c in _prod_mono(it, n, ix).items():
+                for it, ct, trow in trows:
+                    p = trow.get(ix)
+                    if p is None:
+                        p = _prod_mono(it, n, ix)
+                    for k, c in p.items():
                         diff[k] = get(k, 0) + ct * c
                 if any(diff.values()):
                     x = {xm: 1}
@@ -144,18 +154,25 @@ def commutator_failures(blocks=((2, 2, 1, 0), (1, 1, 1, 1)), nbound=3,
 
 def _commutator_pairs(found, pairs, X, nbound, check_grading):
     """Check the commutator formula on one pair (a, b), or on a pair and
-    its swap (b, a), adding (sweep position, failure) to found."""
+    its swap (b, a), adding (sweep position, failure) to found.
+
+    The memo rows of every operator the check applies to x are fetched
+    before the sweep over x, and each product is looked up in its row by
+    the id of its argument; _prod_mono only computes the misses."""
     span = range(-nbound, nbound + 1)
     am, bm = pairs[0][2:]
     ia, ib = _intern(am), _intern(bm)
     wa, la, pa = mon_weight(am), mon_charge(am), mon_parity(am)
     wb, lb, pb = mon_weight(bm), mon_charge(bm), mon_parity(bm)
     sign = -1 if pa & pb else 1
-    # For each pair and m, the right side sum_j C(m,j) (a_(j)b)_(m+n-j) x
-    # as (m-j, id of p, coeff) over the monomials p of the nonzero a_(j)b,
-    # scaled so that diff below is lhs - rhs for the first pair and, for
-    # its swap, lhs + sign rhs' = -sign (lhs' - rhs') as lhs' = -sign lhs.
-    rhs_terms = []
+    arows = [_prod_row(ia, m) for m in span]
+    brows = [_prod_row(ib, n) for n in span]
+    # For each (m, n) and pair, the right side sum_j C(m,j) (a_(j)b)_(m+n-j)
+    # x as (row of p_(m+n-j), id of p, m+n-j, coeff) over the monomials p
+    # of the nonzero a_(j)b, scaled so that diff below is lhs - rhs for the
+    # first pair and, for its swap, lhs + sign rhs' = -sign (lhs' - rhs')
+    # as lhs' = -sign lhs.  The swap's right side is the one at (n, m).
+    right = [[[] for n in span] for m in span]
     for v, (i, k, a, b) in enumerate(pairs):
         jprods = []
         for j in range(wa + wb):
@@ -168,41 +185,60 @@ def _commutator_pairs(found, pairs, X, nbound, check_grading):
                         _state(pj), {})))
                 jprods.append((j, pj.items()))
         f = sign if v else -1
-        terms = []
-        for m in span:
-            row = []
-            for j, pj in jprods:
-                cj = f * binomial(m, j)
-                if cj:
-                    row.extend((m - j, ip, cj * cp) for ip, cp in pj)
-            terms.append(row)
-        rhs_terms.append(terms)
-    for xpos, (xm, ix, wx) in enumerate(X):
-        ys = [_prod_mono(ib, n, ix).items() for n in span]
         for mi, m in enumerate(span):
-            amx = [(iz, -sign * cz)
-                   for iz, cz in _prod_mono(ia, m, ix).items()]
-            for ni, (n, y) in enumerate(zip(span, ys)):
+            for ni, n in enumerate(span):
+                terms = []
+                for j, pj in jprods:
+                    cj = f * binomial(n if v else m, j)
+                    if cj:
+                        t = m + n - j
+                        terms.extend((_prod_row(ip, t), ip, t, cj * cp)
+                                     for ip, cp in pj)
+                right[mi][ni].append(terms)
+    for xpos, (xm, ix, wx) in enumerate(X):
+        ys = []
+        for n, brow in zip(span, brows):
+            y = brow.get(ix)
+            if y is None:
+                y = _prod_mono(ib, n, ix)
+            ys.append(y.items())
+        for mi, m in enumerate(span):
+            arow = arows[mi]
+            z = arow.get(ix)
+            if z is None:
+                z = _prod_mono(ia, m, ix)
+            amx = [(iz, -sign * cz) for iz, cz in z.items()]
+            for ni, n in enumerate(span):
                 if wa + wb + wx - m - n - 2 < 0:
                     continue
                 # the left side, accumulated on ids
                 lhs = {}
                 get = lhs.get
-                for iy, cy in y:
-                    for mid, c in _prod_mono(ia, m, iy).items():
+                for iy, cy in ys[ni]:
+                    p = arow.get(iy)
+                    if p is None:
+                        p = _prod_mono(ia, m, iy)
+                    for mid, c in p.items():
                         lhs[mid] = get(mid, 0) + cy * c
+                brow = brows[ni]
                 for iz, cz in amx:
-                    for mid, c in _prod_mono(ib, n, iz).items():
+                    p = brow.get(iz)
+                    if p is None:
+                        p = _prod_mono(ib, n, iz)
+                    for mid, c in p.items():
                         lhs[mid] = get(mid, 0) + cz * c
                 for v, (i, k, a, b) in enumerate(pairs):
                     if v:
-                        diff, mm, nn, terms = lhs, n, m, rhs_terms[1][ni]
+                        diff, mm, nn = lhs, n, m
                     else:
                         diff = lhs.copy() if len(pairs) > 1 else lhs
-                        mm, nn, terms = m, n, rhs_terms[0][mi]
+                        mm, nn = m, n
                     get = diff.get
-                    for t, ip, cp in terms:
-                        for mid, c in _prod_mono(ip, t + nn, ix).items():
+                    for row, ip, t, cp in right[mi][ni][v]:
+                        p = row.get(ix)
+                        if p is None:
+                            p = _prod_mono(ip, t, ix)
+                        for mid, c in p.items():
                             diff[mid] = get(mid, 0) + cp * c
                     if any(diff.values()):
                         found.append(((i, k, 1, xpos, mm, nn),
@@ -215,9 +251,9 @@ ENGINE_CLI = {
     "blocks": ((2, 2, 1, 0), (1, 1, 1, 1)),
 }
 # widest sweep fitting the one-minute budget on a single core; the
-# plain product of the per-role weight caps does not.  It takes 19-25 s
-# (six runs) on a shared 2-core VM under Python 3.11.7, at about
-# 410 MB peak RSS.
+# plain product of the per-role weight caps does not.  It takes 18-21 s
+# (three cold runs) on a shared 2-core VM under Python 3.11.7, at about
+# 337 MB peak RSS.
 ENGINE_FULL = {
     "amax": 3, "xmax": 2, "adeg": 2, "xdeg": 1, "nbound": 3,
     "blocks": ((2, 2, 2, 0), (3, 1, 1, 0), (1, 1, 1, 2)),

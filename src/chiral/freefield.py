@@ -18,22 +18,25 @@ have field weight 1 and gamma, c have field weight 0; charge counts
 #c - #b.  Weights of creation modes are >= 0, which is what makes every
 mode sum below finite.
 
-The action of one mode on a monomial (_apply_mode_mono) is the only
-place a Koszul sign is taken; apply_mode, apply_word and normalize are
-built on it and keep no memo.  Outside the product engine's own tables
-on ids, the one memo of mode action is the per-monomial image memo of
-each chiral.modeops.ModeOperator.  sadd is the one sparse add; it also
-does chiral.linalg's row updates over Q.
+The action of one mode on a monomial (_apply_mode_mono) is the one
+place a mode is inserted with its Koszul sign; apply_mode, apply_word,
+normalize and translate are built on it and keep no memo.  Outside the
+product engine's own tables on ids, the one memo of mode action is the
+per-monomial image memo of each chiral.modeops.ModeOperator.  sadd is
+the one sparse add; it also does chiral.linalg's row updates over Q.
 
 The n-th product of two monomials is computed by the iterate formula
 (see _prod_mono) and memoised.  Inside that engine, and in the engine
 sweep of chiral.checks, monomials are interned: each distinct monomial
-gets a small int id on first sight, the memo is keyed by (id, n, id)
-and its values are {id: int} dicts.  The second sum of the iterate
-formula is taken straight from the contractions of the peeled mode with
-the modes of b.  Everything public (nth_product, wick, apply_mode,
-apply_word, translate, state_str) takes and returns monomial-keyed
-states; the ids never leave this module and the engine sweep.
+gets a small int id on first sight.  The memo holds one row per
+operator a_(n), keyed by (id of a, n); a row maps the id of b to a_(n) b
+as an {id: int} dict, so a sweep that applies one operator to many
+states fetches its row once (_prod_row) and looks each product up by an
+int.  The second sum of the iterate formula is taken straight from the
+contractions of the peeled mode with the modes of b.  Everything public
+(nth_product, wick, apply_mode, apply_word, translate, state_str) takes
+and returns monomial-keyed states; the ids never leave this module and
+the engine sweep.
 """
 
 from __future__ import annotations
@@ -216,18 +219,19 @@ def _state(prod):
     return {_mons[i]: c for i, c in prod.items()}
 
 
-_insert_cache = {}
+_insert_rows = {}   # (gen, idx) -> {id: (sign, id)}
 _contract_cache = {}
 
 
-def _insert(gen, idx, i):
+def _insert(gen, idx, i, row):
     """x_(idx) |i> for a creation mode x_(idx), as (sign, id), or
-    (None, None) if an odd mode repeats.  Stored in _insert_cache, which
-    _prod_mono reads before it calls this."""
+    (None, None) if an odd mode repeats.  Stored under i in row, the
+    insertion row _insert_rows[(gen, idx)], which _prod_mono reads
+    before it calls this."""
     hit = None, None
     for mon, sign in _apply_mode_mono(gen, idx, _mons[i]).items():
         hit = sign, _intern(mon)
-    _insert_cache[(gen, idx, i)] = hit
+    row[i] = hit
     return hit
 
 
@@ -245,34 +249,49 @@ def _contractions(gen, i):
     return hit
 
 
-_prod_cache = {}
+_prod_rows = {}    # (id of a, n) -> {id of b: a_(n) b}
 _EMPTY = {}  # every zero product, shared
+
+
+def _prod_row(ia, n):
+    """The live memo row of a_(n) for the monomial with id ia: a dict
+    {ib: a_(n) b} of the products computed so far, which _prod_mono
+    keeps filling.  A miss in it is computed by _prod_mono(ia, n, ib);
+    products below weight 0 are zero and never stored."""
+    row = _prod_rows.get((ia, n))
+    if row is None:
+        row = _prod_rows[(ia, n)] = {}
+    return row
 
 
 def _prod_mono(ia, n, ib):
     """The n-th product a_(n) b of the monomials with ids ia and ib, as a
-    read-only {id: int} dict, memoised on (ia, n, ib).  It is zero below
-    weight 0; otherwise the iterate formula peels the leftmost mode
-    u_(m) of a = u_(m) r (m <= -1, so every binomial below is nonzero):
+    read-only {id: int} dict, memoised under ib in the row of a_(n).  It
+    is zero below weight 0; otherwise the iterate formula peels the
+    leftmost mode u_(m) of a = u_(m) r (m <= -1, so every binomial below
+    is nonzero):
 
     (u_(m) r)_(n) b = sum_j (-1)^j C(m,j) (u_(m-j) (r_(n+j) b)
                       - (-1)^(m+|u||r|) r_(m+n-j) (u_(j) b))
 
-    u_(m-j) is a creation mode, inserted into each monomial of r_(n+j) b.
-    u_(j) with j >= 0 only contracts a mode of b, so the second sum runs
-    over those contractions rather than over every j.
+    u_(m-j) is a creation mode, inserted into each monomial of r_(n+j) b
+    through the insertion row of u_(m-j).  u_(j) with j >= 0 only
+    contracts a mode of b, so the second sum runs over those
+    contractions rather than over every j.
     """
-    key = (ia, n, ib)
-    hit = _prod_cache.get(key)
-    if hit is not None:
-        return hit
+    row = _prod_rows.get((ia, n))
+    if row is not None:
+        hit = row.get(ib)
+        if hit is not None:
+            return hit
     wb = _weights[ib]
     if _weights[ia] + wb - n - 1 < 0:
         return _EMPTY
+    if row is None:
+        row = _prod_row(ia, n)
     head = _heads[ia]
     if head is None:
-        out = {ib: 1} if n == -1 else _EMPTY
-        _prod_cache[key] = out
+        out = row[ib] = {ib: 1} if n == -1 else _EMPTY
         return out
     gu, m, rest = head
     wrest = _weights[rest]
@@ -284,9 +303,11 @@ def _prod_mono(ia, n, ib):
         if inner:
             cj = comb(j - m - 1, j)
             mode = m - j
+            irow = _insert_rows.get((gu, mode))
+            if irow is None:
+                irow = _insert_rows[(gu, mode)] = {}
             for k, c in inner.items():
-                sign, k2 = (_insert_cache.get((gu, mode, k))
-                            or _insert(gu, mode, k))
+                sign, k2 = irow.get(k) or _insert(gu, mode, k, irow)
                 if sign is not None:
                     out[k2] = get(k2, 0) + sign * cj * c
     # second sum: -(-1)^(m+|u||r|) r_(m+n-j) (u_(j) b)
@@ -297,8 +318,7 @@ def _prod_mono(ia, n, ib):
             cj = sgn * comb(j - m - 1, j) * c
             for k2, c2 in inner.items():
                 out[k2] = get(k2, 0) + cj * c2
-    out = {k: c for k, c in out.items() if c} or _EMPTY
-    _prod_cache[key] = out
+    out = row[ib] = {k: c for k, c in out.items() if c} or _EMPTY
     return out
 
 
@@ -319,13 +339,21 @@ def wick(a, b):
 
 
 def translate(state):
-    """The translation operator: derivation with x_(n) -> -n x_(n-1)."""
+    """The translation operator: derivation with x_(n) -> -n x_(n-1).
+
+    On a monomial it shifts one mode at a time: the mode x_(n) at
+    position p is taken out, with the Koszul sign of moving it past the
+    modes before it, and x_(n-1) is put back with _apply_mode_mono."""
     out = {}
     for mon, coeff in state.items():
+        odd_before = 0
         for p, (g, n) in enumerate(mon):
-            seq = list(mon)
-            seq[p] = (g, n - 1)
-            sadd(out, normalize(seq, coeff * (-n)))
+            c = coeff * (-n)
+            if PARITY[g]:
+                if odd_before & 1:
+                    c = -c
+                odd_before += 1
+            sadd(out, _apply_mode_mono(g, n - 1, mon[:p] + mon[p + 1:]), c)
     return out
 
 

@@ -27,9 +27,9 @@ def test_geometry_sweep_clean():
 
 def test_engine_sweep_catches_a_wrong_product(monkeypatch):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
-    monkeypatch.setattr(freefield, "_prod_cache", {})
+    monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_cache[key] = {_intern(VACUUM_MON): 2}
+    freefield._prod_row(*key[:2])[key[2]] = {_intern(VACUUM_MON): 2}
     fails = translation_failures(ENGINE_CLI["amax"], ENGINE_CLI["xmax"],
                                  ENGINE_CLI["adeg"], ENGINE_CLI["xdeg"],
                                  ENGINE_CLI["nbound"])
@@ -42,14 +42,31 @@ def test_engine_sweep_catches_a_wrong_product(monkeypatch):
 def test_commutator_sweep_reports_a_mixed_grading(monkeypatch):
     # plant beta(-1)_(0) gamma(-1) = 1 + c(-1), which mixes weights and
     # charges: the sweep reports it as a grading failure and goes on
-    monkeypatch.setattr(freefield, "_prod_cache", {})
+    monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_cache[key] = {_intern(VACUUM_MON): 1,
-                                  _intern(((C, -1),)): 1}
+    freefield._prod_row(*key[:2])[key[2]] = {_intern(VACUUM_MON): 1,
+                                             _intern(((C, -1),)): 1}
     fails = commutator_failures(((1, 1, 1, 1),), 2)
     assert ("grading: beta(-1)_(0)gamma(-1): lhs = (1) 1 + (1) c(-1), "
             "rhs = 0") in fails
     assert len(fails) == 283
+
+
+def test_memo_rows_hold_what_a_cold_memo_computes(monkeypatch):
+    # every product the sweep leaves in a row of the memo is the one a
+    # fresh memo computes for its (a, n, b): one filed under the wrong
+    # operator or argument would differ
+    monkeypatch.setattr(freefield, "_prod_rows", {})
+    assert commutator_failures(((1, 1, 1, 1),), 2) == []
+    stored = [(ia, n, ib, prod)
+              for (ia, n), row in freefield._prod_rows.items()
+              for ib, prod in row.items()]
+    assert len(stored) > 1000
+    monkeypatch.setattr(freefield, "_prod_rows", {})
+    monkeypatch.setattr(freefield, "_insert_rows", {})
+    monkeypatch.setattr(freefield, "_contract_cache", {})
+    for ia, n, ib, prod in stored:
+        assert freefield._prod_mono(ia, n, ib) == prod, (ia, n, ib)
 
 
 def test_geometry_sweep_catches_a_wrong_adjoint(monkeypatch):

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from chiral import freefield
-from chiral.checks import _family
+from chiral.checks import ENGINE_CLI, _family
 from chiral.freefield import (BETA, GAMMA, B, C, VACUUM, VACUUM_MON, Q_STATE,
                               L_STATE, J_STATE, G_STATE, apply_mode,
                               apply_word, binomial, mon_charge, mon_parity,
@@ -132,6 +132,29 @@ def test_translate():
     assert got == {((GAMMA, -3), (B, -1)): 2, ((GAMMA, -2), (B, -2)): 1}
 
 
+def _translate_by_normalize(state):
+    """The translation operator by its definition: each mode x_(n) in
+    turn replaced by x_(n-1) and the sequence normal ordered again."""
+    out = {}
+    for mon, coeff in state.items():
+        for p, (g, n) in enumerate(mon):
+            seq = list(mon)
+            seq[p] = (g, n - 1)
+            sadd(out, normalize(seq, coeff * (-n)))
+    return out
+
+
+def test_translate_matches_normalize_definition():
+    # all 750 monomials of weight <= 4 and gamma_(-1)-degree <= 2, with
+    # odd modes to pass and shifts that hit a repeated odd mode
+    fam = _family(4, 2)
+    assert len(fam) == 750
+    for mon in fam:
+        assert translate({mon: 3}) == _translate_by_normalize({mon: 3}), mon
+    st = {mon: c for c, mon in enumerate(fam[::50], 1)}
+    assert translate(st) == _translate_by_normalize(st)
+
+
 def test_translate_compatibility_spot():
     a = {((B, -1), (C, -1)): 1}
     x = {((GAMMA, -2),): 1}
@@ -241,9 +264,51 @@ def test_skew_symmetry():
 
 def test_skew_symmetry_catches_a_wrong_product(monkeypatch):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
-    monkeypatch.setattr(freefield, "_prod_cache", {})
+    monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_cache[key] = {_intern(VACUUM_MON): 2}
+    freefield._prod_row(*key[:2])[key[2]] = {_intern(VACUUM_MON): 2}
     fails = _skew_failures(_family(1, 1), range(-2, 3))
     assert sorted(fails) == [("beta(-1)", "gamma(-1)", 0),
                              ("gamma(-1)", "beta(-1)", 0)]
+
+
+def _in_engine_cli_block(triple):
+    """Whether the engine sweep at the `chiral verify` sizes covers the
+    triple (a, b, x): block (amax, bmax, xmax, dmax) holds the triples
+    with those weight caps and every gamma_(-1)-degree <= dmax."""
+    wa, wb, wx = (mon_weight(m) for m in triple)
+    d = max(m.count((GAMMA, -1)) for m in triple)
+    return any(wa <= amax and wb <= bmax and wx <= xmax and d <= dmax
+               for amax, bmax, xmax, dmax in ENGINE_CLI["blocks"])
+
+
+def test_commutator_formula_on_seeded_triples_above_the_sweep():
+    # a_(m)(b_(n)x) - (-1)^{|a||b|} b_(n)(a_(m)x)
+    #     = sum_j C(m, j) (a_(j)b)_(m+n-j) x
+    # on random triples with weight(a) + weight(b) in 3..4, none of them
+    # inside a block the engine sweep checks, through nth_product alone:
+    # 60 triples, 1,500 identities
+    rng = random.Random(20261019)
+    fam = _family(4, 1)
+    xs = _family(2, 1)
+    triples = []
+    while len(triples) < 60:
+        triple = rng.choice(fam), rng.choice(fam), rng.choice(xs)
+        if (3 <= mon_weight(triple[0]) + mon_weight(triple[1]) <= 4
+                and not _in_engine_cli_block(triple)):
+            triples.append(triple)
+    nonzero = 0
+    for am, bm, xm in triples:
+        a, b, x = {am: 1}, {bm: 1}, {xm: 1}
+        sign = -1 if mon_parity(am) and mon_parity(bm) else 1
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                lhs = nth_product(a, m, nth_product(b, n, x))
+                sadd(lhs, nth_product(b, n, nth_product(a, m, x)), -sign)
+                rhs = {}
+                for j in range(mon_weight(am) + mon_weight(bm)):
+                    sadd(rhs, nth_product(nth_product(a, j, b), m + n - j, x),
+                         binomial(m, j))
+                assert lhs == rhs, (am, m, bm, n, xm)
+                nonzero += bool(rhs)
+    assert nonzero >= 500
