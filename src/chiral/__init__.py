@@ -3,7 +3,6 @@ mode products, graded bases, sl2 invariants, and the half-plane section
 calculus that assembles global-section dimensions over closed curves.
 """
 
-from .scalar import Scalar, ZERO, ONE, I
 from .linalg import Matrix
 from .freefield import (BETA, GAMMA, B, C, VACUUM, Q_STATE, L_STATE, J_STATE,
                         G_STATE, apply_mode, apply_word, normalize,

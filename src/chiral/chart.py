@@ -12,16 +12,15 @@ the connection form theta = -2 v^-1 dconj(gamma).
 A Gaussian coefficient a + bi is stored as its two rational parts, each
 under its own key with the power of i (0 or 1) as the last entry, and
 integral parts are kept as int.  So the arithmetic runs on int and
-Fraction alone; Scalar appears only where coefficients enter or are
-read back (the constructor, scale, `terms` and repr).
+Fraction alone.  The constructor and scale take int or Fraction
+coefficients; the imaginary unit is the constant function I, and a
+Gaussian function is built as a product, e.g. ChartFn.v_pow(-2, -2) * I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .scalar import Scalar, ZERO
 
 
 def _rational(x):
@@ -31,13 +30,11 @@ def _rational(x):
     return int(x.numerator) if x.denominator == 1 else x
 
 
-def _parts(c):
-    """(real part, imaginary part) of an int, Fraction or Scalar."""
-    if isinstance(c, Scalar):
-        return _rational(c.re), _rational(c.im)
+def _real(c):
+    """c (an int or Fraction) as a stored rational part."""
     if isinstance(c, (int, Fraction)):
-        return _rational(c), 0
-    raise TypeError("chart coefficients are int, Fraction or Scalar, not %s"
+        return _rational(c)
+    raise TypeError("chart coefficients are int or Fraction, not %s"
                     % type(c).__name__)
 
 
@@ -53,8 +50,8 @@ class ChartFn:
 
     Stored as a dict (a, b, w) -> nonzero int or Fraction, where w in
     {0, 1} is the power of i: c = re + im*i occupies (a, b, 0) -> re and
-    (a, b, 1) -> im, each only when nonzero.  `terms` is a read-only view
-    (a, b) -> Scalar built on demand."""
+    (a, b, 1) -> im, each only when nonzero.  The constructor and scale
+    take rational coefficients; a product with I supplies the rest."""
 
     __slots__ = ("_coeffs",)
 
@@ -64,11 +61,9 @@ class ChartFn:
             for (du, dv), c in terms.items():
                 if du < 0:
                     raise ValueError("negative u-degree")
-                re, im = _parts(c)
-                if re:
-                    coeffs[(du, dv, 0)] = re
-                if im:
-                    coeffs[(du, dv, 1)] = im
+                c = _real(c)
+                if c:
+                    coeffs[(du, dv, 0)] = c
         self._coeffs = coeffs
 
     @staticmethod
@@ -82,14 +77,6 @@ class ChartFn:
     @staticmethod
     def v_pow(n, coeff=1) -> "ChartFn":
         return ChartFn({(0, n): coeff})
-
-    @property
-    def terms(self):
-        """(u-degree, v-degree) -> Scalar; a fresh dict on every read."""
-        parts = {}
-        for (du, dv, w), c in self._coeffs.items():
-            parts.setdefault((du, dv), [0, 0])[w] = c
-        return {key: Scalar(re, im) for key, (re, im) in parts.items()}
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -145,16 +132,9 @@ class ChartFn:
         return _wrap(out)
 
     def scale(self, c) -> "ChartFn":
-        re, im = _parts(c)
-        items = self._coeffs.items()
-        if not im:
-            return _wrap({k: _rational(re * v) for k, v in items} if re else {})
-        # times im*i: w = 0 moves to w = 1, and w = 1 to w = 0 with i*i = -1
-        turned = {(du, dv, 1 - w): _rational(-im * v if w else im * v)
-                  for (du, dv, w), v in items}
-        if not re:
-            return _wrap(turned)
-        return _wrap({k: _rational(re * v) for k, v in items}) + _wrap(turned)
+        c = _real(c)
+        return _wrap({k: _rational(c * v) for k, v in self._coeffs.items()}
+                     if c else {})
 
     __rmul__ = scale
 
@@ -173,18 +153,42 @@ class ChartFn:
         return -self.d_v()
 
     def __repr__(self):
-        terms = self.terms
-        if not terms:
+        if not self._coeffs:
             return "0"
-        parts = []
-        for (du, dv) in sorted(terms):
-            piece = "(%r)" % terms[(du, dv)]
+        parts = {}
+        for (du, dv, w), c in self._coeffs.items():
+            parts.setdefault((du, dv), [0, 0])[w] = c
+        pieces = []
+        for (du, dv) in sorted(parts):
+            piece = "(%s)" % _gaussian_str(*parts[(du, dv)])
             if du:
                 piece += "*u^%d" % du if du > 1 else "*u"
             if dv:
                 piece += "*v^%d" % dv if dv != 1 else "*v"
-            parts.append(piece)
-        return " + ".join(parts)
+            pieces.append(piece)
+        return " + ".join(pieces)
+
+
+def _gaussian_str(re, im):
+    """re + im*i as 2/3+1i/2, -i or 3."""
+    if not im:
+        return str(re)
+    if not re:
+        return _imag_str(im)
+    return "%s%s%s" % (re, "+" if im > 0 else "-", _imag_str(abs(im)))
+
+
+def _imag_str(b):
+    if b == 1:
+        return "i"
+    if b == -1:
+        return "-i"
+    if b.denominator == 1:
+        return "%si" % b.numerator
+    return "%si/%s" % (b.numerator, b.denominator)
+
+
+I = _wrap({(0, 0, 1): 1})  # the imaginary unit
 
 
 @dataclass(frozen=True)
@@ -192,13 +196,12 @@ class MetricData:
     h: ChartFn            # hermitian metric i / (2 y^2) = -2i v^-2
     h_inv: ChartFn        # (i/2) v^2
     theta_coeff: ChartFn  # dconj(gamma)-coefficient of the connection form
-    b0_theta: Scalar      # H^-1 d_gamma(theta_coeff)
+    b0_theta: ChartFn     # H^-1 d_gamma(theta_coeff), the constant i
 
 
 def metric_data() -> MetricData:
-    h = ChartFn.v_pow(-2, Scalar(0, -2))
-    h_inv = ChartFn.v_pow(2, Scalar(0, Fraction(1, 2)))
+    h = ChartFn.v_pow(-2, -2) * I
+    h_inv = ChartFn.v_pow(2, Fraction(1, 2)) * I
     theta_coeff = ChartFn.v_pow(-1, -2)
-    prod = h_inv * theta_coeff.d_gamma()
-    b0 = prod.terms.get((0, 0), ZERO)
-    return MetricData(h=h, h_inv=h_inv, theta_coeff=theta_coeff, b0_theta=b0)
+    return MetricData(h=h, h_inv=h_inv, theta_coeff=theta_coeff,
+                      b0_theta=h_inv * theta_coeff.d_gamma())

@@ -8,12 +8,11 @@ interactive run.
 """
 
 from .basis import charges, enumerate_basis, enumerate_full, split_by_s
-from .chart import ChartFn, metric_data
+from .chart import ChartFn, I, metric_data
 from .freefield import (VACUUM, _intern, _prod_mono, _prod_row, _state,
                         binomial, mon_charge, mon_parity, mon_str, mon_weight,
                         normalize, nth_product, sadd, sscale, state_str,
                         translate, weight_charge, B, C, GAMMA)
-from .scalar import I
 
 
 def _family(kmax, dmax):
@@ -323,7 +322,7 @@ def geometry_failures(kmax=2, case3_kmax=3):
     from .basis import basis_block, mon_scount
     fails = []
     md = metric_data()
-    if md.h != ChartFn.v_pow(-2, I * (-2)):
+    if md.h != ChartFn.v_pow(-2, -2) * I:
         fails.append("metric: H != -2i v^-2: %r" % md.h)
     if md.h * md.h_inv != ChartFn.const(1):
         fails.append("metric: H Hinv != 1")

@@ -22,7 +22,7 @@ import sys
 from . import checks
 from .basis import charges
 from .freefield import state_str
-from .geometry import dim_global, h0_canonical  # noqa: F401 (re-exported)
+from .geometry import dim_global
 from .sl2 import character, invariants
 
 

@@ -179,11 +179,6 @@ def sscale(state, coeff):
     return {m: coeff * c for m, c in state.items()}
 
 
-def ssub(a, b):
-    out = dict(a)
-    return sadd(out, b, -1)
-
-
 # Interned monomials.  The product engine and the engine sweep work on
 # small int ids rather than on monomial tuples: CPython does not cache
 # tuple hashes, so every memo lookup keyed by nested (gen, idx) tuples

@@ -37,10 +37,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .basis import basis_block, enumerate_basis, mon_scount, split_by_s
-from .chart import ChartFn
+from .chart import ChartFn, I
 from .freefield import BETA, apply_mode, mon_charge, mon_weight, sadd
 from .modeops import ModeOperator, pair
-from .scalar import I
 from .sl2 import invariants, kernel_states, sl2_Lplus
 
 _THETA = ChartFn.v_pow(-1, -2)
@@ -190,7 +189,7 @@ def f1(sec: FormSection) -> FormSection:
         img = _n1_image(mon)
         if not img:
             continue
-        base = f.scale(I)
+        base = f * I
         for m2, c in img.items():
             g = base.scale(c)
             out[m2] = out[m2] + g if m2 in out else g

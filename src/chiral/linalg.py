@@ -66,9 +66,6 @@ class Matrix:
                 if v:
                     self.entries[(r, c)] = v
 
-    def __getitem__(self, rc):
-        return self.entries.get(rc, 0)
-
     def row_lists(self):
         out = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -77,10 +74,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
-
-
-def rank(m: Matrix) -> int:
-    return len(_rref(_integer_rows(m), m.cols, _inverse, sadd)[1])
 
 
 def kernel_basis(m: Matrix):
@@ -280,12 +273,3 @@ def _certified(nums, columns, nrows):
         for i, a in columns.get(c, ()):
             acc[i] += a * n
     return not any(acc)
-
-
-def mat_vec(m: Matrix, vec):
-    out = [0] * m.rows
-    for (r, c), v in m.entries.items():
-        x = vec[c]
-        if x:
-            out[r] += v * x
-    return out

@@ -10,13 +10,12 @@ import time
 
 from chiral import cli
 from chiral.basis import basis_block, enumerate_basis, mon_scount
-from chiral.chart import ChartFn, metric_data
+from chiral.chart import ChartFn, I, metric_data
 from chiral.checks import ENGINE_FULL, emptiness_failures, engine_failures
 from chiral.freefield import GAMMA
 from chiral.geometry import (FormSection, case3_kernel, chain_residuals,
                              curvature_op, dbar_prime, dbar_total, f2,
                              seed_section, solve_recursion)
-from chiral.scalar import I, Scalar
 from chiral.sl2 import (charge_range, invariants, verify_relationL,
                         verify_sl2_bracket)
 
@@ -101,7 +100,7 @@ def test_blocks_empty_exactly_when_weight_below_s():
 
 def test_metric_constants_bit_exact():
     md = metric_data()
-    assert md.h == ChartFn.v_pow(-2, Scalar(0, -2))
+    assert md.h == ChartFn.v_pow(-2, -2) * I
     assert md.theta_coeff == ChartFn.v_pow(-1, -2)
     assert md.b0_theta == I
     assert md.h * md.h_inv == ChartFn.const(1)

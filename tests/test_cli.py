@@ -8,6 +8,7 @@ import pytest
 
 import chiral
 from chiral import cli
+from chiral.geometry import h0_canonical
 
 CHARACTER_2_JSON = """\
 {
@@ -48,11 +49,11 @@ def run(argv, capsys):
 
 
 def test_h0_canonical_values():
-    assert [cli.h0_canonical(m, 2) for m in range(-1, 4)] == [0, 1, 2, 3, 5]
-    assert cli.h0_canonical(1, 7) == 7
-    assert cli.h0_canonical(3, 3) == 10
+    assert [h0_canonical(m, 2) for m in range(-1, 4)] == [0, 1, 2, 3, 5]
+    assert h0_canonical(1, 7) == 7
+    assert h0_canonical(3, 3) == 10
     with pytest.raises(ValueError):
-        cli.h0_canonical(2, 1)
+        h0_canonical(2, 1)
 
 
 def test_dim_global_fixtures():
@@ -178,7 +179,7 @@ def python_warnings_as_errors(*args):
 
 def test_import_leaves_cli_unloaded():
     assert chiral.dim_global is cli.dim_global
-    assert chiral.h0_canonical is cli.h0_canonical
+    assert chiral.h0_canonical is h0_canonical
     proc = python_warnings_as_errors(
         "-c", "import sys, chiral; print(sorted(m for m in "
               "('argparse', 'chiral.cli') if m in sys.modules))")

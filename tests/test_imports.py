@@ -1,5 +1,7 @@
 """Every name a module imports is read by that module, unless its line
-says `# noqa: F401` (a deliberate re-export)."""
+says `# noqa: F401` (a deliberate re-export), and every top-level
+function or class of the package is read by some package module or
+exported by `chiral/__init__`, so no test-only code lives in `src`."""
 
 import ast
 from pathlib import Path
@@ -22,10 +24,35 @@ def unused_imports(source):
                     yield alias.lineno, name
 
 
+def unread_definitions(sources, exported):
+    """(module, name) of every top-level def or class in sources (module
+    -> source) that no module reads, by name or as an attribute, outside
+    its own body, and that is not in exported."""
+    defined = []
+    read = set(exported)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = node.name
+                defined.append((module, own))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return sorted(d for d in defined if d[1] not in read)
+
+
 def test_every_import_is_read():
     modules = sorted(p for p in Path(chiral.__file__).parent.glob("*.py")
                      if p.name != "__init__.py")
-    assert len(modules) >= 10
+    assert len(modules) >= 9
     found = ["%s:%d: %s" % (path.name, line, name)
              for path in modules
              for line, name in unused_imports(path.read_text())]
@@ -43,3 +70,26 @@ def test_the_walk_sees_unused_names():
               "    from re import sub\n"
               "    return comb(args, 2)\n")
     assert sorted(unused_imports(source)) == [(2, "os"), (4, "factorial"), (8, "sub")]
+
+
+def test_every_definition_is_read_or_exported():
+    package = Path(chiral.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    exported = {alias.asname or alias.name
+                for node in ast.parse(sources["__init__.py"]).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert unread_definitions(sources, exported) == []
+
+
+def test_the_walk_sees_unread_definitions():
+    sources = {"a.py": ("def used():\n"
+                        "    return 1\n"
+                        "def recursive(n):\n"
+                        "    return recursive(n - 1) if n else used()\n"
+                        "class Exported:\n"
+                        "    pass\n"),
+               "b.py": ("import a\n"
+                        "def dead():\n"
+                        "    return a.used()\n")}
+    assert unread_definitions(sources, {"Exported"}) == [
+        ("a.py", "recursive"), ("b.py", "dead")]
