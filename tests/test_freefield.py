@@ -113,6 +113,39 @@ def test_nth_product_oracles():
     assert wick({((BETA, -1),): 1}, {((C, -1),): 1}) == Q_STATE
 
 
+def _assert_rejected(mon):
+    # a monomial that is not normally ordered raises on either side of a
+    # product, and is given no id
+    for a, b in (({mon: 1}, VACUUM), (VACUUM, {mon: 1})):
+        with pytest.raises(ValueError):
+            nth_product(a, 0, b)
+    assert mon not in freefield._ids
+
+
+def test_nth_product_rejects_an_annihilation_mode():
+    # beta_(0)|0> is zero, not a monomial; it used to multiply as zero
+    _assert_rejected(((BETA, 0),))
+    _assert_rejected(((BETA, -1), (C, 2)))
+
+
+def test_nth_product_rejects_an_unknown_generator():
+    _assert_rejected(((4, -1),))
+    _assert_rejected(((BETA, -1), (-1, -2)))
+
+
+def test_nth_product_rejects_modes_out_of_order():
+    _assert_rejected(((GAMMA, -2), (BETA, -1)))
+    _assert_rejected(((BETA, -1), (C, -1), (B, -1)))
+
+
+def test_nth_product_rejects_a_repeated_odd_mode():
+    _assert_rejected(((B, -1), (B, -1)))
+    _assert_rejected(((BETA, -1), (C, -2), (C, -2)))
+    # a repeated even mode is a monomial
+    assert wick({((GAMMA, -2), (GAMMA, -2)): 1}, VACUUM) == {
+        ((GAMMA, -2), (GAMMA, -2)): 1}
+
+
 def test_wick_quasi_commutativity_correction():
     b1 = {((B, -1),): 1}
     c1 = {((C, -1),): 1}
@@ -266,7 +299,7 @@ def test_skew_symmetry_catches_a_wrong_product(monkeypatch):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
     monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_row(*key[:2])[key[2]] = {_intern(VACUUM_MON): 2}
+    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
     fails = _skew_failures(_family(1, 1), range(-2, 3))
     assert sorted(fails) == [("beta(-1)", "gamma(-1)", 0),
                              ("gamma(-1)", "beta(-1)", 0)]
