@@ -49,6 +49,7 @@ from math import comb, factorial
 BETA, GAMMA, B, C = 0, 1, 2, 3
 
 GEN_NAMES = ("beta", "gamma", "b", "c")
+_GENS = frozenset((BETA, GAMMA, B, C))
 PARITY = (0, 0, 1, 1)
 FIELD_WEIGHT = (1, 0, 1, 0)
 
@@ -60,6 +61,10 @@ _CONTRACT = {
     (B, C): 1,
     (C, B): 1,
 }
+
+# generator -> the generator its annihilation modes contract with: x_(n),
+# n >= 0, acts on a monomial only through a mode PARTNER[x]_(-1-n) in it.
+PARTNER = {gen: other for gen, other in _CONTRACT}
 
 VACUUM_MON = ()
 VACUUM = {VACUUM_MON: 1}
@@ -194,23 +199,31 @@ _weights = []    # id -> conformal weight
 _parities = []   # id -> parity
 
 
+def check_monomial(mon, stop=None):
+    """Raise ValueError unless mon is normally ordered: creation modes of
+    the four generators, sorted, with no odd mode repeated.  With stop,
+    only mon[:stop] is checked."""
+    prev = None
+    for mode in mon[:stop]:
+        gen, idx = mode
+        if gen not in _GENS or idx > -1:
+            raise ValueError("not a creation mode: %r in %r" % (mode, mon))
+        if prev is not None and (prev > mode or prev == mode and PARITY[gen]):
+            raise ValueError("not a normally ordered monomial: %r" % (mon,))
+        prev = mode
+
+
 def _intern(mon):
     """The id of a monomial, assigning one (and one to each of its
     tails) on first sight.  A monomial seen for the first time must be
-    normally ordered: creation modes of the four generators, sorted,
-    with no odd mode repeated; anything else raises ValueError."""
+    normally ordered; its first two modes are checked here, and
+    interning its tail checks the rest."""
     i = _ids.get(mon)
     if i is None:
         head = None
         if mon:
-            gen, idx = first = mon[0]
-            if gen not in (BETA, GAMMA, B, C) or idx > -1:
-                raise ValueError("not a creation mode: %r in %r"
-                                 % (first, mon))
-            if len(mon) > 1 and (first > mon[1] or first == mon[1]
-                                 and PARITY[gen]):
-                raise ValueError("not a normally ordered monomial: %r"
-                                 % (mon,))
+            check_monomial(mon, 2)
+            gen, idx = mon[0]
             head = (gen, idx, _intern(mon[1:]))
         i = len(_mons)
         _ids[mon] = i
@@ -250,7 +263,8 @@ def _contractions(gen, i):
     hit = _contract_cache.get(key)
     if hit is None:
         mon = _mons[i]
-        js = sorted({-1 - idx for g, idx in mon if (gen, g) in _CONTRACT})
+        partner = PARTNER[gen]
+        js = sorted({-1 - idx for g, idx in mon if g == partner})
         hit = tuple((j, _intern(m), c) for j in js
                     for m, c in _apply_mode_mono(gen, j, mon).items())
         _contract_cache[key] = hit

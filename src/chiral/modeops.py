@@ -13,25 +13,32 @@ fieldweight(x), and weights are never negative.  The symbol "gtilde" is
 the gamma family with the (-1) mode removed.
 
 A ModeOperator does each piece of work once.  Per weight bound it
-compiles its terms a single time, coefficients multiplied out and words
-grouped by their rightmost mode, which acts first; a group whose first
-mode kills a monomial is skipped whole.  It memoises the image of every
-monomial it meets, computed with the monomial's own weight as the bound.
-That is exact: the words at a bound K are exactly those that can act
-nonzero on some state of weight <= K, so a larger bound only adds words
-that kill the monomial.  apply sums the memoised images into a fresh
-dict, which callers may change in place.
+compiles its terms a single time into a trie of their words, keyed by
+the modes in the order they act, rightmost first: identical words merge
+with their coefficients added, and a prefix the words share is applied
+once.  The walk skips a branch whole when its mode kills the state, and
+it does not even apply an annihilation mode x_(n), n >= 0, unless some
+monomial of the state holds the partner mode PARTNER[x]_(-1-n): x_(n)
+acts only by contracting that mode (freefield._apply_mode_mono).
+
+The operator memoises the image of every monomial it meets, computed
+with the monomial's own weight as the bound.  That is exact: the words
+at a bound K are exactly those that can act nonzero on some state of
+weight <= K, so a larger bound only adds words that kill the monomial.
+apply sums the memoised images into a fresh dict, which callers may
+change in place.
 
 This route shares only the elementary mode action with the state-product
 engine; products of states are never used here.  Every mode action goes
-through freefield.apply_word, a first mode as a one-mode word.
+through freefield.apply_word, one mode at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .freefield import BETA, GAMMA, B, C, apply_word, mon_weight, sadd
+from .freefield import (BETA, GAMMA, PARTNER, B, C, apply_word, check_monomial,
+                        mon_weight, sadd)
 
 # symbol -> (generator, field weight, parity, excluded index or None)
 ATOMS = {
@@ -109,24 +116,89 @@ def mode_words(expr, n, bound):
     return out
 
 
+def _check_expr(expr):
+    """Raise ValueError unless expr is an ATOMS symbol or a pair of
+    field expressions."""
+    if isinstance(expr, str):
+        if expr not in ATOMS:
+            raise ValueError("unknown field symbol %r; expected one of %s"
+                             % (expr, ", ".join(ATOMS)))
+    elif isinstance(expr, tuple) and len(expr) == 3 and expr[0] == "pair":
+        _check_expr(expr[1])
+        _check_expr(expr[2])
+    else:
+        raise ValueError("a field expression is a symbol or pair(left, right),"
+                         " not %r" % (expr,))
+
+
+def _trie(terms):
+    """The words of (coefficient, word) terms as a trie: a tuple of nodes
+    (mode, partner, coefficient, children), where mode acts next,
+    partner is the mode an annihilation mode must find in the state to
+    contract (None for a creation mode), coefficient is the summed
+    coefficient of the words that end at the node, and children is a
+    tuple of nodes, or None at a leaf.  Nodes that contribute nothing
+    are dropped."""
+    root = {}
+    for coeff, word in terms:
+        level = root
+        for mode in reversed(word[1:]):
+            level = level.setdefault(mode, [0, {}])[1]
+        level.setdefault(word[0], [0, {}])[0] += coeff
+    return _freeze(root)
+
+
+def _freeze(level):
+    nodes = []
+    for mode, (coeff, children) in level.items():
+        children = _freeze(children) or None
+        if coeff or children:
+            gen, n = mode
+            partner = (PARTNER[gen], -1 - n) if n >= 0 else None
+            nodes.append((mode, partner, coeff, children))
+    return tuple(nodes)
+
+
+def _walk(nodes, state, out):
+    """out += every word of the trie nodes applied to state, with its
+    coefficient."""
+    present = set().union(*state)
+    for mode, partner, coeff, children in nodes:
+        if partner is not None and partner not in present:
+            continue
+        head = apply_word((mode,), state)
+        if head:
+            sadd(out, head, coeff)
+            if children:
+                _walk(children, head, out)
+
+
 class ModeOperator:
     """A finite linear combination of field-expression modes.
 
-    pieces is a list of (coefficient, expr, n); a coefficient that is not
-    an int or a Fraction raises TypeError.  materialize(bound) lists
-    the (coefficient, word) terms for states of weight <= bound.  The
-    instance keeps those terms compiled per bound and the image of every
-    monomial it has met; both only grow.
+    pieces is a list of (coefficient, expr, n), checked when the operator
+    is built: a coefficient that is not an int or a Fraction, or an index
+    n that is not an int, raises TypeError; an expression that is not an
+    ATOMS symbol or a pair of expressions raises ValueError.
+    materialize(bound) lists the (coefficient, word) terms for states of
+    weight <= bound.  The instance keeps those terms compiled into a trie
+    per bound and the image of every monomial it has met; both only
+    grow.  A monomial whose image is not memoised yet must be normally
+    ordered (freefield.check_monomial), else apply raises ValueError.
     """
 
     def __init__(self, pieces):
         self.pieces = list(pieces)
-        for c, _, _ in self.pieces:
+        for c, expr, n in self.pieces:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("ModeOperator coefficients are int or Fraction, not %s"
                                 % type(c).__name__)
-        self._compiled = {}  # bound -> ((first mode, ((coeff, tail), ...)), ...)
-        self._images = {}    # monomial -> {monomial: coeff}
+            if not isinstance(n, int):
+                raise TypeError("ModeOperator mode indices are int, not %s"
+                                % type(n).__name__)
+            _check_expr(expr)
+        self._tries = {}   # bound -> trie of the words at that bound
+        self._images = {}  # monomial -> {monomial: coeff}
 
     def materialize(self, bound):
         terms = []
@@ -135,26 +207,14 @@ class ModeOperator:
                 terms.append((coeff * c, word))
         return terms
 
-    def _compile(self, bound):
-        groups = {}
-        for coeff, word in self.materialize(bound):
-            groups.setdefault(word[-1], []).append((coeff, word[:-1]))
-        compiled = tuple((first, tuple(tails)) for first, tails in groups.items())
-        self._compiled[bound] = compiled
-        return compiled
-
     def _image(self, mon):
+        check_monomial(mon)
         bound = mon_weight(mon)
-        groups = self._compiled.get(bound)
-        if groups is None:
-            groups = self._compile(bound)
+        trie = self._tries.get(bound)
+        if trie is None:
+            trie = self._tries[bound] = _trie(self.materialize(bound))
         out = {}
-        for first, tails in groups:
-            head = apply_word((first,), {mon: 1})
-            if not head:
-                continue
-            for coeff, tail in tails:
-                sadd(out, apply_word(tail, head), coeff)
+        _walk(trie, {mon: 1}, out)
         self._images[mon] = out
         return out
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from chiral.basis import enumerate_basis, enumerate_full
-from chiral.freefield import (BETA, GAMMA, B, C, VACUUM, apply_word, mon_charge,
-                              mon_str, mon_weight, nth_product, sadd, sscale)
+from chiral.basis import charges, enumerate_basis, enumerate_full
+from chiral.freefield import (BETA, GAMMA, PARTNER, B, C, VACUUM, apply_mode,
+                              apply_word, mon_charge, mon_str, mon_weight,
+                              nth_product, sadd, sscale)
 from chiral.modeops import ModeOperator, expr_parity, expr_weight, mode_words, pair
 
 
@@ -25,6 +26,55 @@ def test_coefficients_must_be_exact():
             ModeOperator([(coeff, "beta", 0)])
     op = ModeOperator([(Fraction(1, 3), "beta", 0), (2, "c", -1)])
     assert [type(c) for c, _, _ in op.pieces] == [Fraction, int]
+
+
+def test_unknown_symbol_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown field symbol 'delta'"):
+        ModeOperator([(1, "delta", 0)])
+    with pytest.raises(ValueError, match="unknown field symbol"):
+        ModeOperator([(1, pair("gtilde", pair("beta", "delta")), 0)])
+
+
+def test_malformed_pair_is_rejected_at_construction():
+    for expr in (("pair", "beta"), ("pair", "beta", "gamma", "c"),
+                 ("wick", "beta", "gamma"), ["pair", "beta", "gamma"], 3,
+                 pair("b", ("pair", "c"))):
+        with pytest.raises(ValueError, match="a field expression is"):
+            ModeOperator([(1, expr, 0)])
+
+
+def test_non_int_mode_index_is_rejected_at_construction():
+    for n in (0.5, 1.0, Fraction(1), "0", None):
+        with pytest.raises(TypeError, match="mode indices are int"):
+            ModeOperator([(1, "beta", n)])
+
+
+def test_apply_rejects_a_malformed_monomial():
+    # the same checks and messages as the product engine's interning
+    op = ModeOperator([(1, "beta", 0)])
+    for mon, msg in ((((GAMMA, 0),), "not a creation mode"),
+                     (((7, -1),), "not a creation mode"),
+                     (((GAMMA, -2), (BETA, -1)), "not a normally ordered"),
+                     (((B, -1), (B, -1)), "not a normally ordered"),
+                     (((BETA, -1), (GAMMA, -1), (C, 1)), "not a creation mode")):
+        with pytest.raises(ValueError, match=msg):
+            op.apply({mon: 1})
+        with pytest.raises(ValueError, match=msg):
+            nth_product({mon: 1}, 0, VACUUM)
+        assert mon not in op._images
+    # a repeated even mode is normally ordered
+    assert op.apply({((GAMMA, -1), (GAMMA, -1)): 1}) == {((GAMMA, -1),): 2}
+
+
+def test_annihilation_mode_acts_exactly_when_its_partner_is_present():
+    # the premise of the partner screen in ModeOperator's trie walk
+    mons = [mon for k in range(6) for l in charges(k)
+            for mon in enumerate_full(k, l, 2)]
+    for gen in (BETA, GAMMA, B, C):
+        for n in range(6):
+            partner = (PARTNER[gen], -1 - n)
+            for mon in mons:
+                assert bool(apply_mode(gen, n, {mon: 1})) == (partner in mon)
 
 
 def test_mode_words_truncation_consistency():
@@ -122,6 +172,17 @@ def test_apply_matches_all_words_oracle():
                                    rng.randint(1, 6))
         for op in ops:
             assert op.apply(st) == _apply_all_words(op, st)
+
+
+def test_apply_matches_all_words_oracle_at_weights_5_to_7():
+    # a seeded sample above the exhaustive range, where the tries are
+    # deeper and the partner screen prunes most branches
+    rng = random.Random(20261019)
+    for k in (5, 6, 7):
+        mons = [mon for l in charges(k) for mon in enumerate_full(k, l, 2)]
+        for mon in rng.sample(mons, 40):
+            for op in _operators():
+                assert op.apply({mon: 1}) == _apply_all_words(op, {mon: 1})
 
 
 def test_apply_returns_fresh_dicts():
