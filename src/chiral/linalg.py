@@ -1,21 +1,34 @@
 """Sparse exact linear algebra over the rationals.
 
-Entries are int or Fraction.  One routine, `_rref`, row reduces over Q
-and mod p.  For each column it pivots on the row with the fewest
-entries among the rows that hold the column, the first such row on a
-tie, so results are deterministic for a given matrix; a sparse pivot
-row keeps the eliminated rows sparse.
+Entries are int or Fraction.  A kernel basis takes two steps, and the
+same routines serve Q and the integers mod p:
+
+* Elimination.  `_eliminate` runs forward elimination only, with the
+  columns in a static fill-reducing order: fewest nonzeros first, ties
+  by index (Markowitz 1957; Duff, Erisman and Reid, *Direct Methods for
+  Sparse Matrices*, ch. 7).  Each column pivots on its sparsest holder
+  row, the first such row on a tie, so a sparse pivot row keeps the
+  eliminated rows sparse.  `_kernel` back-solves the triangular pivot
+  rows for one kernel vector per non-pivot column.
+* Canonical kernel.  That basis depends on the pivot order.
+  `_canonical_kernel` takes it to reduced echelon form with the columns
+  in reverse order, a d x n reduction for nullity d.  The result
+  depends on the kernel alone: it is {v_f}, where f runs over the free
+  columns of the reduced row echelon form of M and v_f has a 1 at f,
+  zeros at the other free columns and its last nonzero at f.  In column
+  order, {v_f} is the reduced-echelon kernel basis.
 
 Kernel bases are computed modulo the fixed primes `PRIMES` (the eight
 largest primes <= 2^61 - 1) and lifted back to the rationals
 (multimodular echelon forms, Stein, *Modular Forms*, ch. 7):
 
 1. each row is scaled by the lcm of its denominators to integers;
-2. for each prime p in turn, the reduced row echelon form is taken
-   mod p; a prime whose pivot columns are worse than the best seen so
-   far (lower rank, or equal rank with later pivots) is unlucky and
-   skipped, and a better one replaces the residues kept so far;
-3. the residues of each free-column kernel vector are combined by CRT
+2. for each prime p in turn, the canonical kernel is taken mod p; a
+   prime whose free columns are worse than the best seen so far (more
+   of them, i.e. a lower rank, or as many with an earlier one where
+   they first differ, i.e. later pivots) is unlucky and skipped, and a
+   better one replaces the residues kept so far;
+3. the residues of each canonical kernel vector are combined by CRT
    into the product N of the primes kept, and every entry is lifted by
    rational reconstruction with |numerator|, denominator <=
    isqrt(N // 2) (Wang's extended Euclid);
@@ -29,15 +42,16 @@ columns <= f, so M v_f = 0 makes f a free column over Q too.  The rank
 mod p is at most the rank over Q, so the free columns agree, and the
 reduced echelon kernel basis, being unique, is the same; which primes
 were combined does not matter.  The primes are the cap: when they run
-out, after at most eight modular RREFs (every prime divides a pivot,
-or a kernel entry is too large to reconstruct from all of them),
-`_rref` runs over Q on the same integer rows instead;
-scaling rows leaves the RREF unchanged.  Kernel vector entries are int
-when integral and Fraction otherwise.
+out, after at most eight modular eliminations (every prime divides a
+pivot, or a kernel entry is too large to reconstruct from all of them),
+the same routines run over Q on the same integer rows instead; scaling
+rows leaves the kernel unchanged.  Kernel vector entries are int when
+integral and Fraction otherwise.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -77,19 +91,20 @@ class Matrix:
 
 
 def kernel_basis(m: Matrix):
-    """Basis of the right kernel, one vector per free column, in column order.
+    """Basis of the right kernel in reduced echelon form: one vector per
+    free column f of the reduced row echelon form of m, in column order,
+    with a 1 at f, zeros at the other free columns and support in
+    columns <= f.
 
-    Vector for free column f has a 1 in position f and the negated reduced
-    column above the pivots, so the list is itself in reduced echelon form.
-    Computed mod the primes in PRIMES, combined by CRT and certified, else
-    over Q (see above).
+    Computed mod the primes in PRIMES, combined by CRT and certified,
+    else over Q; either way by forward elimination in a fill-reducing
+    column order and one canonicalization of the kernel (see above).
     """
     rows = _integer_rows(m)
     basis = _modular_kernel(rows, m.cols)
     if basis is None:
-        reduced, pivots = _rref(rows, m.cols, _inverse, sadd)
-        basis = [_vector(m.cols, [(f, 1)] + [(pcol, -x) for pcol, x in column])
-                 for f, column in _free_columns(reduced, pivots, m.cols)]
+        basis = [_vector(m.cols, v.items())
+                 for _, v in _field_kernel(rows, m.cols, _inverse, sadd)]
     return basis
 
 
@@ -99,16 +114,6 @@ def _vector(ncols, entries):
     for c, x in entries:
         vec[c] = x.numerator if x.denominator == 1 else x
     return vec
-
-
-def _free_columns(reduced, pivots, ncols):
-    """(f, [(pivot column, its row's entry in column f), ...]) for every
-    free column f of a reduced row echelon form, in column order."""
-    pivot_set = set(pivots)
-    for f in range(ncols):
-        if f not in pivot_set:
-            yield f, [(pcol, prow[f])
-                      for prow, pcol in zip(reduced, pivots) if f in prow]
 
 
 def _integer_rows(m: Matrix):
@@ -124,26 +129,25 @@ def _integer_rows(m: Matrix):
 
 
 def _modular_kernel(int_rows, ncols):
-    """kernel_basis of the integer rows via their RREF mod the primes in
-    PRIMES, combined by CRT, or None when no product of them lifts every
-    vector past reconstruction and the exact certificate.  Leaves
-    int_rows unchanged."""
+    """kernel_basis of the integer rows via their canonical kernel mod
+    the primes in PRIMES, combined by CRT, or None when no product of
+    them lifts every vector past reconstruction and the exact
+    certificate.  Leaves int_rows unchanged."""
     columns = {}
     for i, row in enumerate(int_rows):
         for c, a in row.items():
             columns.setdefault(c, []).append((i, a))
-    best = None  # (-rank, pivot columns) of the primes kept
+    best = None  # (nullity, negated free columns) of the primes kept
     modulus = 1
     vectors = []  # per free column, {col: residue mod modulus}
     for p in PRIMES:
         residues = [{c: x % p for c, x in row.items() if x % p}
                     for row in int_rows]
-        reduced, pivots = _rref(residues, ncols, *_field_mod(p))
-        key = (-len(pivots), pivots)
+        canonical = _field_kernel(residues, ncols, *_field_mod(p))
+        key = (len(canonical), [-f for f, _ in canonical])
         if best is not None and key > best:
             continue  # unlucky prime
-        new = [dict([(f, 1)] + [(pcol, p - x) for pcol, x in column])
-               for f, column in _free_columns(reduced, pivots, ncols)]
+        new = [v for _, v in canonical]
         if key != best:
             best, modulus, vectors = key, p, new
         else:
@@ -164,18 +168,29 @@ def _modular_kernel(int_rows, ncols):
     return None
 
 
-def _rref(rows, ncols, inverse, add):
-    """Reduced row echelon form of rows ({col: entry}, reduced in place)
-    over the field given by inverse(x) and add(row, pivot_row, f), which
-    sets row += f * pivot_row, drops entries that vanish and returns row
-    (freefield.sadd over Q); returns (rows, pivot columns).  Each column
-    pivots on its sparsest row (the first on a tie).  Forward elimination
-    first, then back substitution, so only fully reduced rows are
-    subtracted from the rows above them."""
+def _field_kernel(rows, ncols, inverse, add):
+    """The canonical kernel [(f, v_f), ...] of rows ({col: entry},
+    changed in place) over the field given by inverse(x) and add(row,
+    pivot_row, f), which sets row += f * pivot_row, drops entries that
+    vanish and returns row (freefield.sadd over Q)."""
+    count = Counter(c for row in rows for c in row)
+    order = sorted(count, key=lambda c: (count[c], c))
+    triangular = list(_eliminate(rows, order, inverse, add))
+    return _canonical_kernel(_kernel(triangular, ncols, add), ncols,
+                             inverse, add)
+
+
+def _eliminate(rows, order, inverse, add):
+    """Forward elimination of rows ({col: entry}, changed in place),
+    taking the columns in the given order.  Each column pivots on its
+    sparsest holder among the rows not yet pivoted (the first on a tie)
+    and is eliminated from the other holders.  Yields (col, pivot row
+    scaled to 1 at col) in pivot order; a pivot row holds no earlier
+    pivot column."""
     rows = [r for r in rows if r]
-    pivots = []
-    reduced = []
-    for col in range(ncols):
+    for col in order:
+        if not rows:
+            return
         holders = [r for r in rows if col in r]
         if not holders:
             continue
@@ -185,15 +200,47 @@ def _rref(rows, ncols, inverse, add):
             if r is not chosen:
                 add(r, pivot_row, -r[col])
         rows = [r for r in rows if r and r is not chosen]
-        pivots.append(col)
-        reduced.append(pivot_row)
-    for j in range(len(reduced) - 1, 0, -1):
-        pivot_row, col = reduced[j], pivots[j]
-        for r in reduced[:j]:
+        yield col, pivot_row
+
+
+def _kernel(triangular, ncols, add):
+    """A kernel basis of the (col, pivot row) list of _eliminate, one
+    vector {col: entry} per non-pivot column g, with a 1 at g and zeros
+    at the other non-pivot columns.  The pivot entries are back-solved
+    last pivot first, for all the vectors at once: x[c] maps g to the
+    entry at c of the vector of g."""
+    pivots = {col for col, _ in triangular}
+    free = [g for g in range(ncols) if g not in pivots]
+    x = {g: {g: 1} for g in free}
+    for col, row in reversed(triangular):
+        xc = {}
+        for c, a in row.items():
+            if c != col:
+                add(xc, x[c], -a)
+        x[col] = xc
+    basis = {g: {} for g in free}
+    for c, xc in x.items():
+        for g, v in xc.items():
+            basis[g][c] = v
+    return list(basis.values())
+
+
+def _canonical_kernel(basis, ncols, inverse, add):
+    """The reduced echelon form of a kernel basis ({col: entry}, changed
+    in place) with the columns in reverse order, as [(f, v_f), ...] in
+    column order: v_f has a 1 at f, zeros at the other f and its last
+    nonzero at f.  Gauss-Jordan: each new pivot column is also
+    eliminated from the pivot rows taken before it."""
+    reduced = []
+    for col, pivot_row in _eliminate(basis, range(ncols - 1, -1, -1),
+                                     inverse, add):
+        for _, r in reduced:
             f = r.get(col)
             if f:
                 add(r, pivot_row, -f)
-    return reduced, pivots
+        reduced.append((col, pivot_row))
+    reduced.reverse()
+    return reduced
 
 
 def _inverse(x):
@@ -201,7 +248,7 @@ def _inverse(x):
 
 
 def _field_mod(p):
-    """(inverse, add) of _rref for the integers mod the prime p."""
+    """(inverse, add) of _field_kernel for the integers mod the prime p."""
 
     def inverse(x):
         return pow(x, -1, p)

@@ -71,11 +71,17 @@ _words_cache = {}
 
 def mode_words(expr, n, bound):
     """All (coefficient, word) terms of expr_(n) that can act nonzero on a
-    state of weight <= bound.  Words apply right to left."""
+    state of weight <= bound.  Words apply right to left.  On a cache
+    miss, an expression that is not an ATOMS symbol or a pair of
+    expressions raises ValueError, and an n or bound that is not an int
+    raises TypeError."""
     key = (expr, n, bound)
     hit = _words_cache.get(key)
     if hit is not None:
         return hit
+    _check_expr(expr)
+    _check_int(n, "mode indices")
+    _check_int(bound, "weight bounds")
     if isinstance(expr, str):
         gen, w, _, excl = ATOMS[expr]
         if n == excl or (n >= 0 and n > bound + w - 1):
@@ -129,6 +135,12 @@ def _check_expr(expr):
     else:
         raise ValueError("a field expression is a symbol or pair(left, right),"
                          " not %r" % (expr,))
+
+
+def _check_int(x, what):
+    """Raise TypeError unless x is an int."""
+    if not isinstance(x, int):
+        raise TypeError("%s are int, not %s" % (what, type(x).__name__))
 
 
 def _trie(terms):
@@ -193,9 +205,7 @@ class ModeOperator:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("ModeOperator coefficients are int or Fraction, not %s"
                                 % type(c).__name__)
-            if not isinstance(n, int):
-                raise TypeError("ModeOperator mode indices are int, not %s"
-                                % type(n).__name__)
+            _check_int(n, "ModeOperator mode indices")
             _check_expr(expr)
         self._tries = {}   # bound -> trie of the words at that bound
         self._images = {}  # monomial -> {monomial: coeff}

@@ -7,6 +7,7 @@ import pytest
 from chiral import linalg
 from chiral.basis import charges
 from chiral.chart import ChartFn, I
+from chiral.freefield import sadd
 from chiral.linalg import Matrix, kernel_basis
 from chiral.sl2 import invariants
 
@@ -238,6 +239,95 @@ def test_kernel_random_sparse_rank_deficient():
         check_against_oracle(rows, ncols)
 
 
+def spy_eliminations(monkeypatch):
+    """Record every call of linalg._eliminate as (column order, add,
+    pivot columns in the order it took them)."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, order, inverse, add):
+        order = list(order)
+        pivots = []
+        calls.append((order, add, pivots))
+        for col, row in eliminate(rows, order, inverse, add):
+            pivots.append(col)
+            yield col, row
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    return calls
+
+
+def random_rank_deficient(rng, max_rows, max_cols, min_size=2):
+    """A sparse nrows x ncols product of an nrows x k and a k x ncols
+    factor with k < min(nrows, ncols), as dense rows of int/Fraction."""
+    def entry():
+        if rng.random() < 0.7:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    nrows = rng.randint(min_size, max_rows)
+    ncols = rng.randint(min_size, max_cols)
+    k = rng.randint(1, min(nrows, ncols) - 1)
+    left = [[entry() for _ in range(k)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(k)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+             for j in range(ncols)] for i in range(nrows)]
+    return rows, ncols
+
+
+def test_kernel_random_sparse_in_count_order(monkeypatch):
+    # larger matrices than above, most of them eliminated in a column
+    # order other than the natural one
+    calls = spy_eliminations(monkeypatch)
+    rng = random.Random(20261019)
+    reordered = 0
+    for _ in range(150):
+        rows, ncols = random_rank_deficient(rng, 12, 14, min_size=6)
+        calls.clear()
+        check_against_oracle(rows, ncols)
+        order = calls[0][0]  # the elimination of M mod the first prime
+        reordered += order != sorted(order)
+    assert reordered >= 100
+
+
+def residue(x, p):
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def test_canonical_kernel_of_a_recombined_basis():
+    # any basis of the kernel, here the reduced echelon one mixed by a
+    # random invertible matrix, canonicalizes back to the reduced echelon
+    # basis, over Q and mod p
+    rng = random.Random(71)
+    fields = (("Q", linalg._inverse, sadd, lambda x: x),
+              ("mod p", *linalg._field_mod(P61), lambda x: residue(x, P61)))
+    for _ in range(60):
+        rows, ncols = random_rank_deficient(rng, 8, 10)
+        expected = oracle_kernel(rows, ncols)
+        d = len(expected)
+        # unit lower times upper with a nonzero diagonal, rows permuted
+        lower = [[Fraction(rng.randint(-5, 5)) if j < i else Fraction(j == i)
+                  for j in range(d)] for i in range(d)]
+        upper = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) if j == i
+                  else Fraction(rng.randint(-5, 5)) if j > i else Fraction(0)
+                  for j in range(d)] for i in range(d)]
+        mix = [[sum(lower[i][t] * upper[t][j] for t in range(d))
+                for j in range(d)] for i in range(d)]
+        rng.shuffle(mix)
+        mixed = [[sum(a * vec[c] for a, vec in zip(coeffs, expected))
+                  for c in range(ncols)] for coeffs in mix]
+        for name, inverse, add, convert in fields:
+            basis = [{c: convert(x) for c, x in enumerate(vec) if convert(x)}
+                     for vec in mixed]
+            canonical = linalg._canonical_kernel(basis, ncols, inverse, add)
+            want = [{c: convert(x) for c, x in enumerate(vec) if x}
+                    for vec in expected]
+            assert [v for _, v in canonical] == want, name
+            assert [f for f, _ in canonical] == [max(v) for v in want], name
+
+
 def typed_states(states):
     # int and Fraction compare equal, so the types are compared too
     return [sorted((mon, type(c).__name__, c) for mon, c in st.items())
@@ -246,7 +336,7 @@ def typed_states(states):
 
 def test_exact_path_matches_modular_on_invariant_blocks(monkeypatch):
     # every invariant block through weight 6, once through the modular
-    # path and once with it declining, so the exact RREF over Q runs
+    # path and once with it declining, so the exact elimination over Q runs
     blocks = [(k, l) for k in range(7) for l in charges(k)]
     modular = {kl: typed_states(invariants(*kl, check=False).states)
                for kl in blocks}
@@ -260,3 +350,22 @@ def test_exact_path_matches_modular_on_invariant_blocks(monkeypatch):
     for kl in blocks:
         assert typed_states(invariants(*kl, check=False).states) == modular[kl]
     assert len(declined) == 25  # one per nonempty diagonal block
+
+
+def test_exact_path_pivots_in_count_order(monkeypatch):
+    # with the modular path declining, the kernel comes from the same
+    # elimination over Q: column 0 holds the most entries, so it is
+    # taken last, and the canonical step pivots in reverse column order
+    monkeypatch.setattr(linalg, "_modular_kernel", lambda int_rows, ncols: None)
+    calls = spy_eliminations(monkeypatch)
+    rows = [[2, 1, 0, 0, 1],
+            [4, 0, 3, 0, 0],
+            [6, 1, 3, 0, 1],
+            [1, 0, 0, 5, Fraction(1, 2)]]
+    check_against_oracle(rows, 5)
+    (order, add, pivots), (canon_order, canon_add, canon_pivots) = calls
+    assert add is sadd and canon_add is sadd
+    assert order == [3, 1, 2, 4, 0]
+    assert pivots == [3, 1, 2]
+    assert canon_order == [4, 3, 2, 1, 0]
+    assert canon_pivots == [4, 3]

@@ -49,6 +49,36 @@ def test_non_int_mode_index_is_rejected_at_construction():
             ModeOperator([(1, "beta", n)])
 
 
+def test_mode_words_rejects_an_unknown_symbol():
+    with pytest.raises(ValueError, match="unknown field symbol 'delta'"):
+        mode_words("delta", 0, 3)
+    with pytest.raises(ValueError, match="unknown field symbol 'delta'"):
+        mode_words(pair("gtilde", pair("beta", "delta")), 0, 3)
+
+
+def test_mode_words_rejects_a_malformed_pair():
+    for expr in (("pair", "beta"), ("pair", "beta", "gamma", "c"),
+                 ("wick", "beta", "gamma"), 3, pair("b", ("pair", "c"))):
+        with pytest.raises(ValueError, match="a field expression is"):
+            mode_words(expr, 0, 3)
+
+
+def test_mode_words_rejects_a_non_int_index():
+    for n in (0.5, Fraction(1, 2), "0", None):
+        with pytest.raises(TypeError, match="mode indices are int"):
+            mode_words("beta", n, 3)
+        with pytest.raises(TypeError, match="mode indices are int"):
+            mode_words(pair("gtilde", "beta"), n, 3)
+
+
+def test_mode_words_rejects_a_non_int_bound():
+    for bound in (3.5, Fraction(7, 2), "3", None):
+        with pytest.raises(TypeError, match="weight bounds are int"):
+            mode_words("beta", 0, bound)
+        with pytest.raises(TypeError, match="weight bounds are int"):
+            mode_words(pair("gtilde", "beta"), 0, bound)
+
+
 def test_apply_rejects_a_malformed_monomial():
     # the same checks and messages as the product engine's interning
     op = ModeOperator([(1, "beta", 0)])
