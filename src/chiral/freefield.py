@@ -26,9 +26,20 @@ per-monomial image memo of each chiral.modeops.ModeOperator.  sadd is
 the one sparse add; it also does chiral.linalg's row updates over Q.
 
 The n-th product of two monomials is computed by the iterate formula
-(see _prod_mono) and memoised.  Inside that engine, and in the engine
-sweep of chiral.checks, monomials are interned: each distinct monomial
-gets a small int id on first sight.  The memo holds one row per
+(see _prod_mono) and memoised.  Two exact shortcuts keep it off the
+products Wick's theorem proves zero.  A one-mode operator is taken in
+closed form: for a = u_(m)|0> and k = -1 - m,
+a_(n) b = (-1)^k C(n, k) u_(n-k) b.  And for t >= 0, r_(t) b is a sum
+over nonempty sets of contractions between modes x_(m) of r and y_(p)
+of b, each contraction a pole of order -m - p - 1; a set's term reaches
+r_(t) b only if its total order exceeds t, and that total is at most
+_reach(r, b), the sum over the modes u_(m) of r whose partner occurs in
+b of -m - p - 1 for that partner's lowest mode p in b.  So the iterate
+formula's first sum stops at t = _reach(r, b).
+
+Inside that engine, and in the engine sweep of chiral.checks,
+monomials are interned: each distinct monomial gets a small int id on
+first sight.  The memo holds one row per
 operator a_(n), keyed by (id of a, n); a row maps the id of b to a_(n) b
 as a tuple of (id, int) pairs with distinct ids and nonzero
 coefficients, so a sweep that applies one operator to many states
@@ -288,22 +299,53 @@ def _prod_row(ia, n):
     return row
 
 
+def _reach(r, b):
+    """The contraction-degree bound of the monomials r and b: the sum,
+    over the modes u_(m) of r whose partner occurs in b, of -m - p - 1
+    for that partner's lowest mode p in b (its first, as b is sorted).
+    No set of contractions between r and b has a larger total pole
+    order, so r_(t) b = 0 for every t >= 0 with t >= _reach(r, b)."""
+    reach = 0
+    for g, m in r:
+        partner = PARTNER[g]
+        for g2, p in b:
+            if g2 == partner:
+                reach -= m + p + 1
+                break
+    return reach
+
+
 def _prod_mono(ia, n, ib):
     """The n-th product a_(n) b of the monomials with ids ia and ib, as a
     tuple of (id, int) pairs with distinct ids and nonzero coefficients,
-    memoised under ib in the row of a_(n).  It is zero below weight 0;
-    otherwise the iterate formula peels the leftmost mode u_(m) of
+    memoised under ib in the row of a_(n).  It is zero below weight 0.
+
+    A one-mode a = u_(m)|0> is the field d^k u / k! with k = -1 - m, so
+
+    a_(n) b = (-1)^k C(n, k) u_(n-k) b
+
+    in closed form: one insertion through the insertion row of u_(n-k)
+    if n < 0, else the contractions of u_(n-k) with the modes of b (none
+    if n < k, where C(n, k) = 0).
+
+    Otherwise the iterate formula peels the leftmost mode u_(m) of
     a = u_(m) r (m <= -1, so every binomial below is nonzero):
 
     (u_(m) r)_(n) b = sum_j (-1)^j C(m,j) (u_(m-j) (r_(n+j) b)
                       - (-1)^(m+|u||r|) r_(m+n-j) (u_(j) b))
 
     u_(m-j) is a creation mode, inserted into each monomial of r_(n+j) b
-    through the insertion row of u_(m-j).  u_(j) with j >= 0 only
-    contracts a mode of b, so the second sum runs over those
-    contractions rather than over every j.  Both sums read the products
-    of r from their memo rows and recurse only on a miss; every term of
-    either sum has the weight of a_(n) b, so none is below weight 0.
+    through the insertion row of u_(m-j).  The first sum stops where
+    r_(n+j) b is zero by weight or by the contraction-degree bound
+    (_reach): for t >= 0, Wick's theorem writes r_(t) b as a sum over
+    nonempty sets S of contractions between modes x_(m_i) of r and
+    y_(p_i) of b, the term of S carrying a pole of total degree
+    D_S = sum_i (-m_i - p_i - 1), so it reaches r_(t) b only if t < D_S,
+    and D_S <= _reach(r, b).  u_(j) with j >= 0 only contracts a mode of
+    b, so the second sum runs over those contractions rather than over
+    every j.  Both sums read the products of r from their memo rows and
+    recurse only on a miss; every term of either sum has the weight of
+    a_(n) b, so none is below weight 0.
     """
     rows = _prod_rows
     row = rows.get((ia, n))
@@ -322,11 +364,32 @@ def _prod_mono(ia, n, ib):
         out = row[ib] = (_pairs.setdefault(kc, kc),) if n == -1 else _EMPTY
         return out
     gu, m, rest = head
-    wrest = _weights[rest]
+    pair = _pairs.setdefault
+    if _heads[rest] is None:
+        # a = u_(m)|0>, k = -1 - m: a_(n) = (-1)^k C(n, k) u_(n-k), where
+        # (-1)^k C(n, k) = C(k-n-1, k) for n < 0 and C(n, k) = 0 for
+        # 0 <= n < k, when u_(n-k) has no contraction to make
+        k = -1 - m
+        mode = n - k
+        if n < 0:
+            irow = _insert_rows.get((gu, mode))
+            if irow is None:
+                irow = _insert_rows[(gu, mode)] = {}
+            sign, k2 = irow.get(ib) or _insert(gu, mode, ib, irow)
+            terms = () if sign is None else ((k2, sign * comb(k - n - 1, k)),)
+        else:
+            c = -comb(n, k) if k & 1 else comb(n, k)
+            terms = [(k2, c * c2) for j, k2, c2 in _contractions(gu, ib)
+                     if j == mode]
+        out = row[ib] = tuple([pair(kc, kc) for kc in terms])
+        return out
     out = {}
     get = out.get
-    # first sum: u_(m-j) (r_(n+j) b); (-1)^j C(m,j) = C(j-m-1, j) for m < 0
-    for j in range(wrest + wb - n):
+    # first sum: u_(m-j) (r_(n+j) b); (-1)^j C(m,j) = C(j-m-1, j) for m < 0.
+    # r_(n+j) b is zero below weight 0 and, by Wick's theorem, once
+    # n + j >= _reach(r, b)
+    for j in range(min(_weights[rest] + wb, _reach(_mons[rest], _mons[ib]))
+                   - n):
         t = n + j
         inner = rows.get((rest, t))
         inner = None if inner is None else inner.get(ib)
@@ -354,7 +417,6 @@ def _prod_mono(ia, n, ib):
             cj = sgn * comb(j - m - 1, j) * c
             for k2, c2 in inner:
                 out[k2] = get(k2, 0) + cj * c2
-    pair = _pairs.setdefault
     out = row[ib] = tuple([pair(kc, kc) for kc in out.items() if kc[1]])
     return out
 

@@ -71,17 +71,17 @@ _words_cache = {}
 
 def mode_words(expr, n, bound):
     """All (coefficient, word) terms of expr_(n) that can act nonzero on a
-    state of weight <= bound.  Words apply right to left.  On a cache
-    miss, an expression that is not an ATOMS symbol or a pair of
-    expressions raises ValueError, and an n or bound that is not an int
-    raises TypeError."""
+    state of weight <= bound.  Words apply right to left.  An n or bound
+    that is not an int raises TypeError, before the cache is read; on a
+    cache miss, an expression that is not an ATOMS symbol or a pair of
+    expressions raises ValueError."""
+    _check_int(n, "mode indices")
+    _check_int(bound, "weight bounds")
     key = (expr, n, bound)
     hit = _words_cache.get(key)
     if hit is not None:
         return hit
     _check_expr(expr)
-    _check_int(n, "mode indices")
-    _check_int(bound, "weight bounds")
     if isinstance(expr, str):
         gen, w, _, excl = ATOMS[expr]
         if n == excl or (n >= 0 and n > bound + w - 1):

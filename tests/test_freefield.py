@@ -12,7 +12,7 @@ from chiral.freefield import (BETA, GAMMA, B, C, VACUUM, VACUUM_MON, Q_STATE,
                               apply_word, binomial, mon_charge, mon_parity,
                               mon_weight, mon_str, normalize, nth_product,
                               sadd, sscale, state_str, translate,
-                              weight_charge, wick, _intern)
+                              weight_charge, wick, _intern, _reach)
 
 
 def test_normalize_ordering_and_sign():
@@ -345,3 +345,119 @@ def test_commutator_formula_on_seeded_triples_above_the_sweep():
                 assert lhs == rhs, (am, m, bm, n, xm)
                 nonzero += bool(rhs)
     assert nonzero >= 500
+
+
+# the defining brackets as OPE contractions x(z) y(w) ~ delta / (z - w),
+# keyed by (x, y) with x the field on the left
+_OPE = {(BETA, GAMMA): 1, (GAMMA, BETA): -1, (B, C): 1, (C, B): 1}
+
+
+def _contraction_sets(am, bm, i=0, used=()):
+    """Every set of disjoint contractions (i, j) between the modes am[i]
+    and bm[j] of two monomials."""
+    if i == len(am):
+        yield ()
+        return
+    yield from _contraction_sets(am, bm, i + 1, used)
+    for j, (h, _) in enumerate(bm):
+        if j not in used and (am[i][0], h) in _OPE:
+            for rest in _contraction_sets(am, bm, i + 1, used + (j,)):
+                yield ((i, j),) + rest
+
+
+def _translates(modes, state, top):
+    """{P: :(T^P/P! m) state:} for P in 0..top, where m is the product
+    of the creation modes, by divided-power Leibniz:
+    T^p/p! x_(-1-k) = C(k+p, p) x_(-1-k-p)."""
+    out = {0: state}
+    for g, idx in reversed(modes):
+        spread = {}
+        for power, st in out.items():
+            for p in range(top - power + 1):
+                sadd(spread.setdefault(power + p, {}),
+                     apply_mode(g, idx - p, st), binomial(-1 - idx + p, p))
+        out = spread
+    return out
+
+
+def _wick_oracle(am, bm, nmin=-2):
+    """{n: a_(n) b} for monomials a, b and every n >= nmin at which some
+    set of contractions reaches, by Wick's theorem, with no product memo.
+
+    The mode x_(-1-k) is the field d^k x / k!.  A set S of contractions
+    between modes x_(-1-k) of a and y_(-1-l) of b contributes, for each
+    contracted pair, delta (-1)^k C(k+l, k) / (z-w)^(k+l+1), times the
+    Koszul sign of moving each contracted pair together, times the normal
+    ordered product of what is left, :A'(z) B'(w): = sum_P (z-w)^P
+    :(T^P/P! a') b':.  a_(n) b is the coefficient of (z-w)^(-n-1), so
+    P = D_S - n - 1 where D_S is the total pole order of S."""
+    out = {}
+    odd = [g in (B, C) for g, _ in am + bm]
+    for pairs in _contraction_sets(am, bm):
+        D = 0
+        coeff = 1
+        for i, j in pairs:
+            k, l = -1 - am[i][1], -1 - bm[j][1]
+            coeff *= _OPE[(am[i][0], bm[j][0])] * (-1) ** k * binomial(k + l, k)
+            D += k + l + 1
+        left = [i for i in range(len(am)) if all(i != i2 for i2, _ in pairs)]
+        right = [j for j in range(len(bm)) if all(j != j2 for _, j2 in pairs)]
+        order = [x for i, j in pairs for x in (i, len(am) + j)]
+        order += left + [len(am) + j for j in right]
+        inversions = sum(1 for x, p in enumerate(order) for q in order[x + 1:]
+                         if p > q and odd[p] and odd[q])
+        coeff *= (-1) ** inversions
+        base = normalize([bm[j] for j in right], coeff)
+        for power, st in _translates([am[i] for i in left], base,
+                                     D - nmin - 1).items():
+            sadd(out.setdefault(D - power - 1, {}), st)
+    return out
+
+
+def _check_against_oracle(am, bm):
+    """Compare a_(n) b with the oracle for n from -2 up to the last n
+    above weight 0, and return the oracle's products."""
+    want = _wick_oracle(am, bm)
+    top = mon_weight(am) + mon_weight(bm)
+    assert not any(st for n, st in want.items() if n >= top)
+    for n in range(-2, top):
+        assert nth_product({am: 1}, n, {bm: 1}) == want.get(n, {}), (am, n, bm)
+    return want
+
+
+def test_wick_oracle_on_the_product_table():
+    # every ordered pair of the 68 product-table monomials
+    fam = _family(2, 1)
+    nonzero = sum(bool(st) for am in fam for bm in fam
+                  for st in _check_against_oracle(am, bm).values())
+    assert nonzero > 14000
+
+
+def test_wick_oracle_and_the_reach_bound_on_seeded_pairs():
+    # 300 pairs with weight(a) <= 3 and weight(b) <= 5; r_(t) b = 0 for
+    # every t >= _reach(r, b), and the bound is attained on many pairs
+    rng = random.Random(20261020)
+    fa, fb = _family(3, 2), _family(5, 2)
+    attained = 0
+    for _ in range(300):
+        am, bm = rng.choice(fa), rng.choice(fb)
+        want = _check_against_oracle(am, bm)
+        reach = _reach(am, bm)
+        assert not any(st for n, st in want.items() if n >= reach), (am, bm)
+        attained += bool(want.get(reach - 1)) and reach > 0
+    assert attained >= 100
+
+
+def test_one_mode_operators_in_closed_form():
+    # u_(m)|0> is d^k u / k! with k = -1 - m, so its n-th product is
+    # (-1)^k C(n, k) u_(n-k): checked against the mode action
+    fam = _family(2, 1)
+    for u in (BETA, GAMMA, B, C):
+        for m in range(-4, 0):
+            k = -1 - m
+            for n in range(-5, 6):
+                c = (-1) ** k * binomial(n, k)
+                for bm in fam:
+                    want = sscale(apply_mode(u, n - k, {bm: 1}), c)
+                    got = nth_product({((u, m),): 1}, n, {bm: 1})
+                    assert got == want, (u, m, n, bm)

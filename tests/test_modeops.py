@@ -79,6 +79,17 @@ def test_mode_words_rejects_a_non_int_bound():
             mode_words(pair("gtilde", "beta"), 0, bound)
 
 
+def test_mode_words_rejects_a_float_equal_to_a_cached_int():
+    # 1.0 == 1 and 3.0 == 3 hash alike, so a warm cache would answer
+    # them if the check came after the lookup
+    for expr in ("beta", pair("gtilde", "beta")):
+        assert mode_words(expr, 1, 3)
+        with pytest.raises(TypeError, match="mode indices are int"):
+            mode_words(expr, 1.0, 3)
+        with pytest.raises(TypeError, match="weight bounds are int"):
+            mode_words(expr, 1, 3.0)
+
+
 def test_apply_rejects_a_malformed_monomial():
     # the same checks and messages as the product engine's interning
     op = ModeOperator([(1, "beta", 0)])

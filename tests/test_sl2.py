@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiral import linalg, sl2
+from chiral import freefield, linalg, sl2
 from chiral.basis import enumerate_basis, enumerate_full
 from chiral.freefield import (BETA, GAMMA, B, C, G_STATE, L_STATE, nth_product,
                               sadd, sscale, state_str, translate)
@@ -161,3 +161,14 @@ def test_check_rejects_a_perturbed_fraction_state(monkeypatch):
     with pytest.raises(ArithmeticError,
                        match=r"state-product route disagrees at \(3, 0\)"):
         invariants(3, 0, check=True)
+
+
+def test_state_product_check_memo_stays_small(monkeypatch):
+    # the check of every block through weight 7 from a fresh product
+    # memo: the contraction-degree bound keeps the products Wick's
+    # theorem proves zero out of it (8,824 products; 24,917 without it)
+    monkeypatch.setattr(freefield, "_prod_rows", {})
+    for k in range(8):
+        for l in charge_range(k):
+            invariants(k, l)
+    assert sum(map(len, freefield._prod_rows.values())) < 10000
