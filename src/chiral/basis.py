@@ -5,88 +5,48 @@ gamma_(n) (n <= -2), b_(n) (n <= -1, distinct) and c_(n) (n <= -1,
 distinct); gamma_(-1) never appears.  Weight contributions per mode are
 beta_(-n), b_(-n) -> n and gamma_(-n), c_(-n) -> n - 1, so every graded
 piece is finite.  s counts #beta - #gamma.
+
+Each weight is enumerated once, by a depth-first walk over the creation
+modes in canonical order that extends a monomial only by modes at or
+after its last one (strictly after an odd one), so monomials come out in
+canonical order with no sort and b, c modes never repeat.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .freefield import BETA, GAMMA, B, C
+from .freefield import BETA, FIELD_WEIGHT, GAMMA, PARITY, B, C, mon_charge
 
 
 def mon_scount(mon) -> int:
     return sum((g == BETA) - (g == GAMMA) for g, n in mon)
 
 
-def _partitions(total, max_part=None):
-    """Partitions of total into parts >= 1, as descending tuples."""
-    if max_part is None:
-        max_part = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
-def _distinct_partitions(total, count, min_part):
-    """Partitions of total into exactly count distinct parts >= min_part,
-    as strictly descending tuples."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    # largest part is at least min_part + count - 1
-    lo = min_part + count - 1
-    rest_min = sum(range(min_part, min_part + count - 1))
-    for first in range(total - rest_min, lo - 1, -1):
-        for rest in _distinct_partitions(total - first, count - 1, min_part):
-            if not rest or rest[0] < first:
-                yield (first,) + rest
-
-
-def _assemble(beta_parts, gamma_parts, b_parts, c_parts):
-    mon = []
-    for w in sorted(beta_parts, reverse=True):
-        mon.append((BETA, -w))
-    for w in sorted(gamma_parts, reverse=True):
-        mon.append((GAMMA, -w - 1))
-    for w in sorted(b_parts, reverse=True):
-        mon.append((B, -w))
-    for w in sorted(c_parts, reverse=True):
-        mon.append((C, -w - 1))
-    return tuple(mon)
-
-
 @lru_cache(maxsize=None)
+def _walk(k: int):
+    """{charge: monomials} of weight k, each tuple in canonical order."""
+    steps = sorted(((g, n), FIELD_WEIGHT[g] - n - 1, PARITY[g])
+                   for g in (BETA, GAMMA, B, C) for n in range(-k - 1, 0)
+                   if (g, n) != (GAMMA, -1))
+    groups = {}
+
+    def extend(start, left, mon):
+        if not left:
+            groups.setdefault(mon_charge(mon), []).append(mon)
+        for i in range(start, len(steps)):
+            mode, w, odd = steps[i]
+            if w <= left:
+                extend(i + odd, left - w, mon + (mode,))
+
+    extend(0, k, ())
+    return {l: tuple(mons) for l, mons in groups.items()}
+
+
 def enumerate_basis(k: int, l: int):
-    """All positive-sector monomials of weight k and charge l, sorted in
+    """All positive-sector monomials of weight k and charge l, in
     canonical monomial order."""
-    if k < 0:
-        return ()
-    out = []
-    nb = 0
-    while nb * (nb + 1) // 2 <= k:
-        nc = nb + l
-        if nc < 0 or nc * (nc - 1) // 2 > k:
-            nb += 1
-            continue
-        min_bc = nb * (nb + 1) // 2 + nc * (nc - 1) // 2
-        for wb in range(min_bc - nc * (nc - 1) // 2, k + 1):
-            for wc in range(nc * (nc - 1) // 2, k - wb + 1):
-                rem = k - wb - wc
-                for b_parts in _distinct_partitions(wb, nb, 1):
-                    for c_parts in _distinct_partitions(wc, nc, 0):
-                        for wbeta in range(rem + 1):
-                            for beta_parts in _partitions(wbeta):
-                                for gamma_parts in _partitions(rem - wbeta):
-                                    out.append(_assemble(
-                                        beta_parts, gamma_parts,
-                                        b_parts, c_parts))
-        nb += 1
-    out.sort()
-    return tuple(out)
+    return _walk(k).get(l, ())
 
 
 def charges(k: int):

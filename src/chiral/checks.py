@@ -112,8 +112,7 @@ def _commutator_failure(am, m, bm, n, xm, sign):
                     % (mon_str(am), m, mon_str(bm), n, mon_str(xm)), lhs, rhs)
 
 
-def commutator_failures(blocks=((2, 2, 1, 0), (1, 1, 1, 1)), nbound=3,
-                        check_grading=True):
+def commutator_failures(blocks=((2, 2, 1, 0), (1, 1, 1, 1)), nbound=3):
     """The commutator formula
 
         a_(m)(b_(n)x) - (-1)^{|a||b|} b_(n)(a_(m)x)
@@ -145,13 +144,13 @@ def commutator_failures(blocks=((2, 2, 1, 0), (1, 1, 1, 1)), nbound=3,
                     pairs = [(i, k, am, bm), swap + (bm, am)]
                 else:
                     continue  # checked with its swap
-                _commutator_pairs(found, pairs, X, nbound, check_grading)
+                _commutator_pairs(found, pairs, X, nbound)
         found.sort()
         fails.extend(what for key, what in found)
     return fails
 
 
-def _commutator_pairs(found, pairs, X, nbound, check_grading):
+def _commutator_pairs(found, pairs, X, nbound):
     """Check the commutator formula on one pair (a, b), or on a pair and
     its swap (b, a), adding (sweep position, failure) to found.
 
@@ -177,8 +176,7 @@ def _commutator_pairs(found, pairs, X, nbound, check_grading):
         for j in range(wa + wb):
             pj = _prod_mono(_intern(a), j, _intern(b))
             if pj:
-                if check_grading and (weight_charge(_state(pj))
-                                      != (wa + wb - j - 1, la + lb)):
+                if weight_charge(_state(pj)) != (wa + wb - j - 1, la + lb):
                     found.append(((i, k, 0, j), _failure(
                         "grading: %s_(%d)%s" % (mon_str(a), j, mon_str(b)),
                         _state(pj), {})))

@@ -239,7 +239,7 @@ def seed_section(mon, g=None) -> FormSection:
     return FormSection(deg0={mon: f})
 
 
-def solve_recursion(seed: FormSection, max_steps=None):
+def solve_recursion(seed: FormSection):
     """Extend a closed seed a_s to [a_s, a_{s-1}, ...] with
     dbar_total(sum) = 0.  Requires l - s > 0 and dbar_prime(seed) = 0."""
     grades = seed.gradings()
@@ -251,7 +251,7 @@ def solve_recursion(seed: FormSection, max_steps=None):
     if dbar_prime(seed):
         raise ValueError("seed must be dbar_prime-closed")
     chain = [seed]
-    limit = max(k + s, 0) + 3 if max_steps is None else max_steps
+    limit = max(k + s, 0) + 3
     t = 0
     while t < limit:
         t += 1
@@ -311,8 +311,7 @@ def h0_canonical(m, genus):
     """Dimension of the space of holomorphic sections of the m-th power
     of the canonical bundle on a closed curve of genus >= 2.  Classical
     values: 1 for m = 0, g for m = 1, (2m-1)(g-1) for m >= 2.  This is
-    the one ingredient not computed by the exact engine; swap it out to
-    assemble over a different base.
+    the one ingredient not computed by the exact engine.
     """
     if genus < 2:
         raise ValueError("genus must be at least 2")
@@ -325,12 +324,12 @@ def h0_canonical(m, genus):
     return (2 * m - 1) * (genus - 1)
 
 
-def dim_global(k, l, genus, h0=h0_canonical):
+def dim_global(k, l, genus):
     """Global-section dimension of the [k, l] block over a genus-g
     curve: the invariant space plus, for every s < l, the block count
     times h0 of the (l-s)-th canonical power."""
     total = invariants(k, l).dim
     for s, mons in split_by_s(enumerate_basis(k, l)).items():
         if s < l:
-            total += len(mons) * h0(l - s, genus)
+            total += len(mons) * h0_canonical(l - s, genus)
     return total

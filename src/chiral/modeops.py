@@ -66,30 +66,19 @@ def expr_parity(expr) -> int:
     return expr_parity(expr[1]) ^ expr_parity(expr[2])
 
 
-_words_cache = {}
-
-
 def mode_words(expr, n, bound):
     """All (coefficient, word) terms of expr_(n) that can act nonzero on a
     state of weight <= bound.  Words apply right to left.  An n or bound
-    that is not an int raises TypeError, before the cache is read; on a
-    cache miss, an expression that is not an ATOMS symbol or a pair of
-    expressions raises ValueError."""
+    that is not an int raises TypeError; an expression that is not an
+    ATOMS symbol or a pair of expressions raises ValueError."""
     _check_int(n, "mode indices")
     _check_int(bound, "weight bounds")
-    key = (expr, n, bound)
-    hit = _words_cache.get(key)
-    if hit is not None:
-        return hit
     _check_expr(expr)
     if isinstance(expr, str):
         gen, w, _, excl = ATOMS[expr]
         if n == excl or (n >= 0 and n > bound + w - 1):
-            out = ()
-        else:
-            out = ((1, ((gen, n),)),)
-        _words_cache[key] = out
-        return out
+            return ()
+        return ((1, ((gen, n),)),)
     _, p, q = expr
     wp, wq = expr_weight(p), expr_weight(q)
     sign = -1 if expr_parity(p) and expr_parity(q) else 1
@@ -117,9 +106,7 @@ def mode_words(expr, n, bound):
         for cq, wordq in qw:
             for cp, wordp in pw:
                 out.append((sign * cp * cq, wordq + wordp))
-    out = tuple(out)
-    _words_cache[key] = out
-    return out
+    return tuple(out)
 
 
 def _check_expr(expr):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .basis import charges, enumerate_basis, enumerate_full
-from .freefield import (B, BETA, C, GAMMA, Q_STATE, apply_mode, nth_product,
-                        sadd, sscale)
+from .freefield import (FIELD_WEIGHT, GAMMA, Q_STATE, B, apply_mode,
+                        nth_product, sadd, sscale)
 from .linalg import Matrix, kernel_basis
 from .modeops import ModeOperator, pair
 
@@ -112,16 +112,10 @@ def verify_sl2_bracket(kmax, dmax=2):
 
 
 def diagonal_monomials(mons):
-    """Monomials with #beta + #b == #gamma + #c, the Lplus(1) kernel."""
-    out = []
-    for mon in mons:
-        nb = sum(1 for g, _ in mon if g == B)
-        nc = sum(1 for g, _ in mon if g == C)
-        nbeta = sum(1 for g, _ in mon if g == BETA)
-        ngam = sum(1 for g, _ in mon if g == GAMMA)
-        if nbeta + nb == ngam + nc:
-            out.append(mon)
-    return tuple(out)
+    """Monomials with #beta + #b == #gamma + #c, the Lplus(1) kernel: beta
+    and b have field weight 1, gamma and c field weight 0."""
+    return tuple(mon for mon in mons
+                 if 2 * sum(FIELD_WEIGHT[g] for g, _ in mon) == len(mon))
 
 
 def kernel_states(mons, images):
@@ -180,12 +174,12 @@ def charge_range(k):
     return [l for l in charges(k) if enumerate_basis(k, l)]
 
 
-def character(kmax, check=True):
+def character(kmax):
     """{(k, l): dim} of the invariant subspace, nonzero entries only."""
     table = {}
     for k in range(kmax + 1):
         for l in charge_range(k):
-            inv = invariants(k, l, check=check)
+            inv = invariants(k, l)
             if inv.dim:
                 table[(k, l)] = inv.dim
     return table

@@ -39,6 +39,12 @@ CHARACTER_8_SHA256 = (
 CHARACTER_10_SHA256 = (
     "5c200feb9195d7d415fb28563ae8ddd7950e1558734c3c82da7a15708e17eae4")
 
+# sha256 of the `hzero --max-weight 8` stdout for genus 2 and genus 3
+HZERO_G2_K8_SHA256 = (
+    "5a5cd221c8c492230019318fa0e286274b6a5df6fc5a34b951632f2d68e3208e")
+HZERO_G3_K8_SHA256 = (
+    "4ff50b4e40bafb9d08a4e543ac81d0662fc0fc4c422b1161eafbd919c8807da7")
+
 HZERO_G2_K1_CSV = """\
 k,l,dim
 0,0,1
@@ -172,6 +178,14 @@ def test_character_weight_10_stdout_fixture(capsys):
     rc, out = run(["character", "--max-weight", "10"], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CHARACTER_10_SHA256
+
+
+def test_hzero_weight_8_stdout_fixtures(capsys):
+    for genus, digest in ((2, HZERO_G2_K8_SHA256), (3, HZERO_G3_K8_SHA256)):
+        rc, out = run(["hzero", "--genus", str(genus), "--max-weight", "8"],
+                      capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _diagonal_counts(kmax):

@@ -59,7 +59,7 @@ def test_gamma_shift():
 
 
 def test_character_table_fixture():
-    assert character(4, check=True) == CHARACTER_4
+    assert character(4) == CHARACTER_4
 
 
 def test_invariant_states_weight_2():
