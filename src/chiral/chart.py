@@ -9,62 +9,88 @@ variables the holomorphic and antiholomorphic derivatives are
 and the hyperbolic metric data is exact: H = -2i v^-2, H^-1 = (i/2) v^2,
 the connection form theta = -2 v^-1 dconj(gamma).
 
-A Gaussian coefficient a + bi is stored as its two rational parts, each
-under its own key with the power of i (0 or 1) as the last entry, and
-integral parts are kept as int.  So the arithmetic runs on int and
-Fraction alone.  The constructor and scale take int or Fraction
-coefficients; the imaginary unit is the constant function I, and a
-Gaussian function is built as a product, e.g. ChartFn.v_pow(-2, -2) * I.
+A function is stored as integer numerators over one common
+denominator: a dict (u-degree, v-degree, w) -> nonzero int, where w (0
+or 1) is the power of i, so a Gaussian coefficient a + bi takes up to
+two entries, and one int den > 0 with gcd(den, *numerators) == 1.  The
+zero function is {} over 1.  That form is canonical, so equality and
+hashing compare the stored data.
+
+The arithmetic runs on int alone.  A sum costs one addition per term,
+plus one multiplication per term when the two denominators differ (both
+sides are brought to their lcm); a product costs one multiplication per
+pair of terms, a derivative or scale one per term.  A result whose
+denominator is above 1 is then reduced by one math.gcd over its
+numerators; over denominator 1 nothing is reduced.  The constructor and
+scale take int or Fraction coefficients and read a Fraction's numerator
+and denominator; only repr builds Fractions.  The imaginary unit is the
+constant function I, and a Gaussian function is built as a product,
+e.g. ChartFn.v_pow(-2, -2) * I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _rational(x):
-    """x (an int or Fraction) as an int when it is integral."""
-    if type(x) is int:
-        return x
-    return int(x.numerator) if x.denominator == 1 else x
-
-
-def _real(c):
-    """c (an int or Fraction) as a stored rational part."""
+def _ratio(c):
+    """c (an int or Fraction) as a (numerator, denominator) pair of ints."""
+    if type(c) is int:
+        return c, 1
     if isinstance(c, (int, Fraction)):
-        return _rational(c)
+        return int(c.numerator), int(c.denominator)
     raise TypeError("chart coefficients are int or Fraction, not %s"
                     % type(c).__name__)
 
 
-def _wrap(coeffs) -> "ChartFn":
+def _wrap(nums, den=1) -> "ChartFn":
+    """The function nums / den, already in lowest terms."""
     f = ChartFn.__new__(ChartFn)
-    f._coeffs = coeffs
+    f._nums = nums
+    f._den = den
     return f
+
+
+def _reduced(nums, den) -> "ChartFn":
+    """The function nums / den (nums nonzero ints, den > 0) in lowest
+    terms; empty nums give den 1, since gcd(den) is den."""
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {k: c // g for k, c in nums.items()}
+    return _wrap(nums, den)
 
 
 class ChartFn:
     """A finite sum of c * u^a * v^b with a >= 0, b any integer and c a
     Gaussian rational.
 
-    Stored as a dict (a, b, w) -> nonzero int or Fraction, where w in
-    {0, 1} is the power of i: c = re + im*i occupies (a, b, 0) -> re and
-    (a, b, 1) -> im, each only when nonzero.  The constructor and scale
-    take rational coefficients; a product with I supplies the rest."""
+    Stored as _nums, a dict (a, b, w) -> nonzero int, over the common
+    denominator _den, in lowest terms: c = (re + im*i) / _den occupies
+    (a, b, 0) -> re and (a, b, 1) -> im, each only when nonzero.  The
+    constructor and scale take rational coefficients; a product with I
+    supplies the rest."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms=None):
-        coeffs = {}
+        parts = {}
+        den = 1
         if terms:
             for (du, dv), c in terms.items():
                 if du < 0:
                     raise ValueError("negative u-degree")
-                c = _real(c)
-                if c:
-                    coeffs[(du, dv, 0)] = c
-        self._coeffs = coeffs
+                p, q = _ratio(c)
+                if p:
+                    parts[(du, dv, 0)] = p, q
+                    den = lcm(den, q)
+        # each prime power of the lcm divides some q fully, whose p is
+        # prime to it, so the numerators below share no factor with den
+        self._nums = {k: p * (den // q) for k, (p, q) in parts.items()}
+        self._den = den
 
     @staticmethod
     def const(c) -> "ChartFn":
@@ -79,32 +105,44 @@ class ChartFn:
         return ChartFn({(0, n): coeff})
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, ChartFn):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        # stored values are in normal form, so f == g means equal items
-        return hash(frozenset(self._coeffs.items()))
+        # the stored form is canonical, so f == g means equal data
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __add__(self, other):
         if not isinstance(other, ChartFn):
             return NotImplemented
-        out = dict(self._coeffs)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._nums)
+            mb = 1
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            out = {k: c * ma for k, c in self._nums.items()}
+            da *= ma
         get = out.get
-        for key, c in other._coeffs.items():
-            v = _rational(get(key, 0) + c)
+        for key, c in other._nums.items():
+            v = get(key, 0) + c * mb
             if v:
                 out[key] = v
             else:
                 del out[key]
-        return _wrap(out)
+        return _reduced(out, da)
 
     def __neg__(self):
-        return _wrap({k: -c for k, c in self._coeffs.items()})
+        return _wrap({k: -c for k, c in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, ChartFn):
@@ -116,48 +154,85 @@ class ChartFn:
             return self.scale(other)
         out = {}
         get = out.get
-        right = other._coeffs.items()
-        for (a1, b1, w1), c1 in self._coeffs.items():
+        right = other._nums.items()
+        for (a1, b1, w1), c1 in self._nums.items():
             for (a2, b2, w2), c2 in right:
                 p = c1 * c2
                 w = w1 + w2
                 if w == 2:  # i * i = -1
                     p, w = -p, 0
                 key = (a1 + a2, b1 + b2, w)
-                v = _rational(get(key, 0) + p)
+                v = get(key, 0) + p
                 if v:
                     out[key] = v
                 else:
                     del out[key]
-        return _wrap(out)
+        return _reduced(out, self._den * other._den)
 
     def scale(self, c) -> "ChartFn":
-        c = _real(c)
-        return _wrap({k: _rational(c * v) for k, v in self._coeffs.items()}
-                     if c else {})
+        p, q = _ratio(c)
+        nums, den = self._nums, self._den
+        if not p or not nums:
+            return _wrap({})
+        # with gcd(den, nums) == 1 and gcd(p, q) == 1, cancelling den
+        # against p and q against the numerators leaves lowest terms
+        if den > 1:
+            g = gcd(den, p)
+            den //= g
+            p //= g
+        if q > 1:
+            g = gcd(q, *nums.values())
+            den *= q // g
+            if g > 1:
+                return _wrap({k: v // g * p for k, v in nums.items()}, den)
+        return _wrap({k: v * p for k, v in nums.items()}, den)
 
     __rmul__ = scale
 
     def d_u(self) -> "ChartFn":
-        return _wrap({(du - 1, dv, w): _rational(c * du)
-                      for (du, dv, w), c in self._coeffs.items() if du})
+        return _reduced({(du - 1, dv, w): c * du
+                         for (du, dv, w), c in self._nums.items() if du},
+                        self._den)
 
     def d_v(self) -> "ChartFn":
-        return _wrap({(du, dv - 1, w): _rational(c * dv)
-                      for (du, dv, w), c in self._coeffs.items() if dv})
+        return _reduced({(du, dv - 1, w): c * dv
+                         for (du, dv, w), c in self._nums.items() if dv},
+                        self._den)
 
     def d_gamma(self) -> "ChartFn":
-        return self.d_u() + self.d_v()
+        # d_u + d_v in one pass, with one reduction
+        out = {}
+        get = out.get
+        for (du, dv, w), c in self._nums.items():
+            if du:
+                key = (du - 1, dv, w)
+                v = get(key, 0) + c * du
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+            if dv:
+                key = (du, dv - 1, w)
+                v = get(key, 0) + c * dv
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return _reduced(out, self._den)
 
     def d_gammabar(self) -> "ChartFn":
-        return -self.d_v()
+        return _reduced({(du, dv - 1, w): -c * dv
+                         for (du, dv, w), c in self._nums.items() if dv},
+                        self._den)
 
     def __repr__(self):
-        if not self._coeffs:
+        if not self._nums:
             return "0"
+        den = self._den
         parts = {}
-        for (du, dv, w), c in self._coeffs.items():
-            parts.setdefault((du, dv), [0, 0])[w] = c
+        for (du, dv, w), c in self._nums.items():
+            parts.setdefault((du, dv), [0, 0])[w] = (Fraction(c, den)
+                                                    if den > 1 else c)
         pieces = []
         for (du, dv) in sorted(parts):
             piece = "(%s)" % _gaussian_str(*parts[(du, dv)])

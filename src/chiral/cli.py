@@ -11,12 +11,14 @@ Subcommands:
   classical section-count formula for powers of the canonical bundle.
 
 All output is deterministic: repeated runs produce identical bytes.
-Exit codes: 0 success, 1 verification failure, 2 usage error (a weight
-above MAX_WEIGHT included).
+Exit codes: 0 success, 1 verification failure or a reader that closed
+stdout before the output was written, 2 usage error (a weight above
+MAX_WEIGHT included).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks
@@ -158,7 +160,17 @@ def main(argv=None):
     p.set_defaults(func=cmd_hzero)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # a closed pipe shows on the flush, so raise it here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at the null device, so that
+        # the flush at interpreter shutdown is silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

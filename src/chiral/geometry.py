@@ -12,8 +12,9 @@ positive-sector fiber monomials and f, g chart functions.  The operators:
 * f1, f2: the tail of the deformed differential.  Their fiber parts are
   mode operators built from the gtilde family; the overall factor i of f1
   is carried on the chart coefficient, keeping fiber states rational.
-  A chart function keeps its coefficients split by the power of i, so
-  that factor only moves entries between the real and imaginary slots.
+  A chart function keeps integer numerators, split by the power of i,
+  over one denominator, so that factor only moves numerators between
+  the real and imaginary slots and leaves the denominator as it is.
   f1 drops s by one, f2 by two; both raise form degree, so they vanish
   on degree-1 input on a curve.  The n1 image of each fiber monomial is
   memoised, and a section keeps its own f1 and f2 images, so

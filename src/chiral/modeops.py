@@ -70,10 +70,16 @@ def mode_words(expr, n, bound):
     """All (coefficient, word) terms of expr_(n) that can act nonzero on a
     state of weight <= bound.  Words apply right to left.  An n or bound
     that is not an int raises TypeError; an expression that is not an
-    ATOMS symbol or a pair of expressions raises ValueError."""
+    ATOMS symbol or a pair of expressions raises ValueError.  The
+    arguments are checked here, once; the recursion does not repeat it."""
     _check_int(n, "mode indices")
     _check_int(bound, "weight bounds")
     _check_expr(expr)
+    return _words(expr, n, bound)
+
+
+def _words(expr, n, bound):
+    """mode_words on checked arguments."""
     if isinstance(expr, str):
         gen, w, _, excl = ATOMS[expr]
         if n == excl or (n >= 0 and n > bound + w - 1):
@@ -89,20 +95,20 @@ def mode_words(expr, n, bound):
         inner_bound = bound + wq - j - 1
         if inner_bound < 0:
             continue
-        qw = mode_words(q, j, bound)
+        qw = _words(q, j, bound)
         if not qw:
             continue
-        pw = mode_words(p, m, inner_bound)
+        pw = _words(p, m, inner_bound)
         for cp, wordp in pw:
             for cq, wordq in qw:
                 out.append((cp * cq, wordp + wordq))
     # annihilation part of P to the right
     for m in range(0, bound + wp):
-        pw = mode_words(p, m, bound)
+        pw = _words(p, m, bound)
         if not pw:
             continue
         inner_bound = bound + wp - m - 1
-        qw = mode_words(q, n - m - 1, inner_bound)
+        qw = _words(q, n - m - 1, inner_bound)
         for cq, wordq in qw:
             for cp, wordp in pw:
                 out.append((sign * cp * cq, wordq + wordp))

@@ -1,5 +1,8 @@
+import fractions
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,12 +11,24 @@ from chiral.chart import ChartFn, I, metric_data
 
 def _view(f):
     """(u-degree, v-degree) -> (real part, imaginary part) of a ChartFn,
-    read off its stored coefficients."""
+    read off its stored numerators and denominator."""
     out = {}
-    for (du, dv, w), c in f._coeffs.items():
+    for (du, dv, w), c in f._nums.items():
         re, im = out.get((du, dv), (Fraction(0), Fraction(0)))
-        out[(du, dv)] = (re, Fraction(c)) if w else (Fraction(c), im)
+        c = Fraction(c, f._den)
+        out[(du, dv)] = (re, c) if w else (c, im)
     return out
+
+
+def _assert_normal_form(f):
+    """f is stored as nonzero int numerators over a positive int
+    denominator in lowest terms; for the zero function gcd(den) == 1
+    leaves {} over 1."""
+    assert type(f._den) is int and f._den > 0
+    assert all(type(c) is int and c for c in f._nums.values())
+    assert gcd(f._den, *f._nums.values()) == 1
+    for (du, dv, w) in f._nums:
+        assert du >= 0 and w in (0, 1)
 
 
 def test_normal_form_and_equality():
@@ -230,9 +245,7 @@ def _check(got, want):
     rebuilt = _chart(want)
     assert got == rebuilt and hash(got) == hash(rebuilt)
     assert bool(got) == bool(want)
-    for (du, dv, w), c in got._coeffs.items():
-        assert du >= 0 and w in (0, 1) and c
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    _assert_normal_form(got)
 
 
 def test_matches_scalar_reference():
@@ -299,3 +312,57 @@ def test_equal_values_of_different_types():
     assert mixed * mixed == I.scale(2) and I.scale(2) == 2 * I
     assert _view(mixed * (ChartFn.const(1) - I)) == {(0, 0): (2, 0)}
     assert hash(I + I) == hash(I * 2)
+
+
+def _random_gaussian_fn(rng):
+    """A random Gaussian-rational function with assorted denominators."""
+    def part():
+        return Fraction(rng.randint(-30, 30),
+                        rng.choice((1, 1, 2, 3, 4, 6, 9, 10, 12)))
+    return _chart({(rng.randrange(4), rng.randrange(-3, 4)): (part(), part())
+                   for _ in range(rng.randrange(5))})
+
+
+def test_normal_form_holds_on_every_route():
+    rng = random.Random(17)
+    zero = ChartFn()
+    assert (zero._nums, zero._den) == ({}, 1)
+    scalars = (0, 1, -2, 6, Fraction(1, 3), Fraction(-3, 4), Fraction(10, 9))
+    for _ in range(300):
+        f, g, h = (_random_gaussian_fn(rng) for _ in range(3))
+        results = [f + g, f - g, f - f, f * g, f * zero, -f, f.d_u(), f.d_v(),
+                   f.d_gamma(), f.d_gammabar()]
+        results += [f.scale(c) for c in scalars]
+        for r in results:
+            _assert_normal_form(r)
+        # the same value reached by different routes is the same data
+        for x, y in (((f + g) - g, f), ((f * g) * h, f * (g * h)),
+                     (f.scale(Fraction(1, 3)).scale(3), f),
+                     (f * (g + h), f * g + f * h),
+                     (f.d_gamma(), f.d_u() + f.d_v()),
+                     (f.d_gammabar(), -f.d_v())):
+            assert x == y and hash(x) == hash(y)
+            assert (x._nums, x._den) == (y._nums, y._den)
+
+
+def test_arithmetic_runs_without_fractions():
+    # with no Fraction taken in, no code of the fractions module runs:
+    # sums, products and derivatives stay on int numerators
+    rng = random.Random(5)
+    pairs = [(_random_gaussian_fn(rng), _random_gaussian_fn(rng))
+             for _ in range(50)]
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for f, g in pairs:
+            f + g, f - g, f * g, 3 * f, f.scale(-2), -f
+            f.d_u(), f.d_v(), f.d_gamma(), f.d_gammabar()
+            f == g, hash(f), bool(f)
+    finally:
+        sys.setprofile(None)
+    assert entered == []

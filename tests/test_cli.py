@@ -262,3 +262,20 @@ def test_module_entry_point_runs_without_warning():
         "-m", "chiral.cli", "character", "--max-weight", "2", "--format", "csv")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "k,l,dim\n0,0,1\n2,-1,1\n2,0,1\n"
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # the reader's end is closed before the child starts, so the child's
+    # first write to stdout fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chiral.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "chiral.cli", "hzero",
+             "--genus", "2", "--max-weight", "3"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -131,17 +131,25 @@ def test_recursion_rejects_bad_seeds():
 
 
 def test_recursion_sweep_small():
-    for k in range(3):
+    # every seed with l - s >= 1 through weight 5, bare and times a
+    # holomorphic factor u^j: every seed dim_global counts there, not
+    # only the l - s in (1, 2) of geometry_failures
+    factors = (None,) + tuple(ChartFn.u_pow(j) for j in (1, 2, 3))
+    chains = 0
+    for k in range(6):
         for l in range(-(k + 2), k + 3):
             for mon in enumerate_basis(k, l):
                 s = mon_scount(mon)
-                if l - s not in (1, 2):
+                if l - s < 1:
                     continue
-                chain = solve_recursion(seed_section(mon))
-                assert len(chain) - 1 <= k + s + 1
-                for res in chain_residuals(chain):
-                    assert not res
-                assert not dbar_total(sections_sum(chain))
+                for g in factors:
+                    chain = solve_recursion(seed_section(mon, g))
+                    chains += 1
+                    assert len(chain) - 1 <= k + s + 1
+                    for res in chain_residuals(chain):
+                        assert not res
+                    assert not dbar_total(sections_sum(chain))
+    assert chains == 1172
 
 
 def test_case3_matches_invariants():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chiral import modeops
 from chiral.basis import charges, enumerate_basis, enumerate_full
 from chiral.freefield import (BETA, GAMMA, PARTNER, B, C, VACUUM, apply_mode,
                               apply_word, mon_charge, mon_str, mon_weight,
@@ -88,6 +89,30 @@ def test_mode_words_rejects_a_float_equal_to_a_cached_int():
             mode_words(expr, 1.0, 3)
         with pytest.raises(TypeError, match="weight bounds are int"):
             mode_words(expr, 1, 3.0)
+
+
+def test_mode_words_checks_a_deep_expression_once_at_the_top(monkeypatch):
+    # the recursion below mode_words is unchecked, so a bad atom or pair
+    # deep inside a pair must already fail at the top-level call
+    deep = "beta"
+    for _ in range(5):
+        deep = pair("gtilde", deep)
+    with pytest.raises(ValueError, match="unknown field symbol 'delta'"):
+        mode_words(pair(deep, pair("c", pair("b", "delta"))), 0, 2)
+    with pytest.raises(ValueError, match="a field expression is"):
+        mode_words(pair(deep, pair("c", ("pair", "b"))), 0, 2)
+    # and a valid expression is walked once: one visit per node
+    visits = []
+    check = modeops._check_expr
+
+    def counted(expr):
+        visits.append(expr)
+        check(expr)
+
+    monkeypatch.setattr(modeops, "_check_expr", counted)
+    expr = pair(pair("gtilde", "c"), "b")
+    assert mode_words(expr, 0, 6)
+    assert len(visits) == 5
 
 
 def test_apply_rejects_a_malformed_monomial():
