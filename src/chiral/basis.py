@@ -14,7 +14,7 @@ canonical order with no sort and b, c modes never repeat.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .freefield import BETA, FIELD_WEIGHT, GAMMA, PARITY, B, C, mon_charge
 
@@ -23,7 +23,7 @@ def mon_scount(mon) -> int:
     return sum((g == BETA) - (g == GAMMA) for g, n in mon)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _walk(k: int):
     """{charge: monomials} of weight k, each tuple in canonical order."""
     steps = sorted(((g, n), FIELD_WEIGHT[g] - n - 1, PARITY[g])
@@ -50,10 +50,8 @@ def enumerate_basis(k: int, l: int):
 
 
 def charges(k: int):
-    """A range holding every charge with a nonempty weight-k block: the
-    charge is #c - #b, and distinct b and c modes of total weight <= k
-    allow #b <= k and #c <= k + 1."""
-    return range(-(k + 2), k + 3)
+    """The charges of the nonempty weight-k blocks, in increasing order."""
+    return sorted(_walk(k))
 
 
 def split_by_s(mons):
@@ -64,7 +62,7 @@ def split_by_s(mons):
     return {s: tuple(groups[s]) for s in sorted(groups)}
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_full(k: int, l: int, dmax: int):
     """Positive-sector basis of weight k, charge l, extended by powers
     gamma_(-1)^d for 0 <= d <= dmax, in canonical monomial order."""

@@ -200,30 +200,10 @@ class ChartFn:
                         self._den)
 
     def d_gamma(self) -> "ChartFn":
-        # d_u + d_v in one pass, with one reduction
-        out = {}
-        get = out.get
-        for (du, dv, w), c in self._nums.items():
-            if du:
-                key = (du - 1, dv, w)
-                v = get(key, 0) + c * du
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-            if dv:
-                key = (du, dv - 1, w)
-                v = get(key, 0) + c * dv
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return _reduced(out, self._den)
+        return self.d_u() + self.d_v()
 
     def d_gammabar(self) -> "ChartFn":
-        return _reduced({(du, dv - 1, w): -c * dv
-                         for (du, dv, w), c in self._nums.items() if dv},
-                        self._den)
+        return -self.d_v()
 
     def __repr__(self):
         if not self._nums:

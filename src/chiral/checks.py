@@ -290,16 +290,17 @@ def emptiness_failures(kmax=5):
 def sl2_failures(kmax=3, dmax=2, kernel_kmax=4):
     from . import sl2
     fails = []
-    for (i, k, l, mon) in sl2.verify_relationL(kmax, dmax):
+    relation, bracket = sl2.verify_sl2(kmax, dmax)
+    for (i, k, l, mon) in relation:
         fails.append("relationL i=%d fails on %s at (%d,%d)"
                      % (i, mon_str(mon), k, l))
-    for (i, j, k, l, mon) in sl2.verify_sl2_bracket(kmax, dmax):
+    for (i, j, k, l, mon) in bracket:
         fails.append("bracket [L(%d),L(%d)] fails on %s at (%d,%d)"
                      % (i, j, mon_str(mon), k, l))
     for k in range(kernel_kmax + 1):
         for l in charges(k):
             try:
-                inv = sl2.invariants(k, l, check=True)
+                inv = sl2.invariants(k, l)
             except ArithmeticError as exc:
                 fails.append("kernel routes disagree at (%d,%d): %s" % (k, l, exc))
                 continue

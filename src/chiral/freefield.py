@@ -33,9 +33,8 @@ a_(n) b = (-1)^k C(n, k) u_(n-k) b.  And for t >= 0, r_(t) b is a sum
 over nonempty sets of contractions between modes x_(m) of r and y_(p)
 of b, each contraction a pole of order -m - p - 1; a set's term reaches
 r_(t) b only if its total order exceeds t, and that total is at most
-_reach(r, b), the sum over the modes u_(m) of r whose partner occurs in
-b of -m - p - 1 for that partner's lowest mode p in b.  So the iterate
-formula's first sum stops at t = _reach(r, b).
+the contraction-degree bound _reach(r, b).  So the iterate formula's
+first sum stops at t = _reach(r, b).
 
 Inside that engine, and in the engine sweep of chiral.checks,
 monomials are interned: each distinct monomial gets a small int id on
@@ -55,6 +54,7 @@ sweep.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, factorial
 
 BETA, GAMMA, B, C = 0, 1, 2, 3
@@ -252,7 +252,6 @@ def _state(prod):
 
 
 _insert_rows = {}   # (gen, idx) -> {id: (sign, id)}
-_contract_cache = {}
 
 
 def _insert(gen, idx, i, row):
@@ -267,19 +266,15 @@ def _insert(gen, idx, i, row):
     return hit
 
 
+@cache
 def _contractions(gen, i):
     """Every nonzero x_(j) |i> with j >= 0, as (j, id, coeff) triples.
     x_(j) only acts by contracting a mode y_(-1-j) of the monomial."""
-    key = (gen, i)
-    hit = _contract_cache.get(key)
-    if hit is None:
-        mon = _mons[i]
-        partner = PARTNER[gen]
-        js = sorted({-1 - idx for g, idx in mon if g == partner})
-        hit = tuple((j, _intern(m), c) for j in js
-                    for m, c in _apply_mode_mono(gen, j, mon).items())
-        _contract_cache[key] = hit
-    return hit
+    mon = _mons[i]
+    partner = PARTNER[gen]
+    js = sorted({-1 - idx for g, idx in mon if g == partner})
+    return tuple((j, _intern(m), c) for j in js
+                 for m, c in _apply_mode_mono(gen, j, mon).items())
 
 
 _prod_rows = {}    # (id of a, n) -> {id of b: a_(n) b}
@@ -320,13 +315,10 @@ def _prod_mono(ia, n, ib):
     tuple of (id, int) pairs with distinct ids and nonzero coefficients,
     memoised under ib in the row of a_(n).  It is zero below weight 0.
 
-    A one-mode a = u_(m)|0> is the field d^k u / k! with k = -1 - m, so
-
-    a_(n) b = (-1)^k C(n, k) u_(n-k) b
-
-    in closed form: one insertion through the insertion row of u_(n-k)
-    if n < 0, else the contractions of u_(n-k) with the modes of b (none
-    if n < k, where C(n, k) = 0).
+    A one-mode a = u_(m)|0> takes the closed form of the module
+    docstring: one insertion through the insertion row of u_(n-k) if
+    n < 0, else the contractions of u_(n-k) with the modes of b (none if
+    n < k, where C(n, k) = 0).
 
     Otherwise the iterate formula peels the leftmost mode u_(m) of
     a = u_(m) r (m <= -1, so every binomial below is nonzero):
@@ -336,16 +328,12 @@ def _prod_mono(ia, n, ib):
 
     u_(m-j) is a creation mode, inserted into each monomial of r_(n+j) b
     through the insertion row of u_(m-j).  The first sum stops where
-    r_(n+j) b is zero by weight or by the contraction-degree bound
-    (_reach): for t >= 0, Wick's theorem writes r_(t) b as a sum over
-    nonempty sets S of contractions between modes x_(m_i) of r and
-    y_(p_i) of b, the term of S carrying a pole of total degree
-    D_S = sum_i (-m_i - p_i - 1), so it reaches r_(t) b only if t < D_S,
-    and D_S <= _reach(r, b).  u_(j) with j >= 0 only contracts a mode of
-    b, so the second sum runs over those contractions rather than over
-    every j.  Both sums read the products of r from their memo rows and
-    recurse only on a miss; every term of either sum has the weight of
-    a_(n) b, so none is below weight 0.
+    r_(n+j) b is zero by weight or by the contraction-degree bound of
+    the module docstring, n + j >= _reach(r, b).  u_(j) with j >= 0 only
+    contracts a mode of b, so the second sum runs over those
+    contractions rather than over every j.  Both sums read the products
+    of r from their memo rows and recurse only on a miss; every term of
+    either sum has the weight of a_(n) b, so none is below weight 0.
     """
     rows = _prod_rows
     row = rows.get((ia, n))
@@ -422,7 +410,10 @@ def _prod_mono(ia, n, ib):
 
 
 def nth_product(a, n, b):
-    """Bilinear extension of the n-th product to states."""
+    """Bilinear extension of the n-th product to states.  An n that is
+    not an int raises TypeError."""
+    if not isinstance(n, int):
+        raise TypeError("product indices are int, not %s" % type(n).__name__)
     out = {}
     get = out.get
     bids = [(_intern(bmon), cb) for bmon, cb in b.items()]

@@ -9,6 +9,7 @@ positive-sector fiber monomials and f, g chart functions.  The operators:
   and c-type modes -theta.
 * dbar_star: the formal adjoint -i H^-1 iota d/dgamma, which in chart
   coordinates is (v^2/2) d/dgamma on the dconj(gamma)-coefficient.
+  Both theta and -i H^-1 are read from chart.metric_data() at import.
 * f1, f2: the tail of the deformed differential.  Their fiber parts are
   mode operators built from the gtilde family; the overall factor i of f1
   is carried on the chart coefficient, keeping fiber states rational.
@@ -36,15 +37,17 @@ and h0_canonical, the classical section count of canonical powers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .basis import basis_block, enumerate_basis, mon_scount, split_by_s
-from .chart import ChartFn, I
+from .chart import ChartFn, I, metric_data
 from .freefield import BETA, apply_mode, mon_charge, mon_weight, sadd
 from .modeops import ModeOperator, pair
 from .sl2 import invariants, kernel_states, sl2_Lplus
 
-_THETA = ChartFn.v_pow(-1, -2)
-_HALF_V2 = ChartFn.v_pow(2, Fraction(1, 2))
+_METRIC = metric_data()
+_THETA = _METRIC.theta_coeff
+_HALF_V2 = -(I * _METRIC.h_inv)  # -i H^-1 = v^2/2
 _IMGAMMA_SQ = ChartFn.v_pow(2, Fraction(-1, 4))  # (Im gamma)^2 = -v^2/4
 
 
@@ -154,20 +157,15 @@ _N1_RAT = ModeOperator([
 _GG_MINUS1 = ModeOperator([(1, pair("gtilde", "gtilde"), -1)])
 
 
-_n1_images = {}  # fiber monomial -> its n1_fiber image; only grows
-
-
+@cache
 def _n1_image(mon):
     """The n1_fiber image of one monomial, computed once and shared:
     callers must not change it."""
-    img = _n1_images.get(mon)
-    if img is None:
-        state = {mon: 1}
-        img = _N1_RAT.apply(state)
-        b0 = apply_mode(BETA, 0, state)
-        if b0:
-            sadd(img, _GG_MINUS1.apply(b0), Fraction(-1, 2))
-        _n1_images[mon] = img
+    state = {mon: 1}
+    img = _N1_RAT.apply(state)
+    b0 = apply_mode(BETA, 0, state)
+    if b0:
+        sadd(img, _GG_MINUS1.apply(b0), Fraction(-1, 2))
     return img
 
 
@@ -182,34 +180,29 @@ def n1_fiber(state):
     return out
 
 
-def f1(sec: FormSection) -> FormSection:
-    if sec._f1 is not None:
-        return sec._f1
+def _tail(terms) -> FormSection:
+    """The degree-1 section sum of coeff (x) image over the (chart
+    coefficient, fiber image) pairs of terms, summed per monomial."""
     out = {}
-    for mon, f in sec.deg0.items():
-        img = _n1_image(mon)
-        if not img:
-            continue
-        base = f * I
+    for coeff, img in terms:
         for m2, c in img.items():
-            g = base.scale(c)
+            g = coeff.scale(c)
             out[m2] = out[m2] + g if m2 in out else g
-    sec._f1 = FormSection(deg1=out)
+    return FormSection(deg1=out)
+
+
+def f1(sec: FormSection) -> FormSection:
+    if sec._f1 is None:
+        sec._f1 = _tail((f * I, img) for mon, f in sec.deg0.items()
+                        if (img := _n1_image(mon)))
     return sec._f1
 
 
 def f2(sec: FormSection) -> FormSection:
-    if sec._f2 is not None:
-        return sec._f2
-    out = {}
-    for mon, f in sec.deg0.items():
-        coeff = _IMGAMMA_SQ * f.d_gamma()
-        if not coeff:
-            continue
-        for m2, c in _GG_MINUS1.apply({mon: 1}).items():
-            g = coeff.scale(c)
-            out[m2] = out[m2] + g if m2 in out else g
-    sec._f2 = FormSection(deg1=out)
+    if sec._f2 is None:
+        sec._f2 = _tail((g, _GG_MINUS1.apply({mon: 1}))
+                        for mon, f in sec.deg0.items()
+                        if (g := _IMGAMMA_SQ * f.d_gamma()))
     return sec._f2
 
 
@@ -328,7 +321,10 @@ def h0_canonical(m, genus):
 def dim_global(k, l, genus):
     """Global-section dimension of the [k, l] block over a genus-g
     curve: the invariant space plus, for every s < l, the block count
-    times h0 of the (l-s)-th canonical power."""
+    times h0 of the (l-s)-th canonical power.  A genus below 2 raises
+    ValueError, as in h0_canonical."""
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
     total = invariants(k, l).dim
     for s, mons in split_by_s(enumerate_basis(k, l)).items():
         if s < l:

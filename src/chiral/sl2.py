@@ -22,6 +22,7 @@ is the kernel of Lplus(2) on the monomials where that count vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 
 from .basis import charges, enumerate_basis, enumerate_full
@@ -30,22 +31,23 @@ from .freefield import (FIELD_WEIGHT, GAMMA, Q_STATE, B, apply_mode,
 from .linalg import Matrix, kernel_basis
 from .modeops import ModeOperator, pair
 
-_L_ACTORS = {}
-
-
+@cache
 def _l_actor(i):
     """The state Q_(0) gamma_(-1)^i b_(-1) vac whose zero mode is L(i)."""
-    st = _L_ACTORS.get(i)
-    if st is None:
-        gen = {((GAMMA, -1),) * i + ((B, -1),): 1}
-        st = nth_product(Q_STATE, 0, gen)
-        _L_ACTORS[i] = st
-    return st
+    return nth_product(Q_STATE, 0, {((GAMMA, -1),) * i + ((B, -1),): 1})
+
+
+def _check_index(i):
+    """Raise TypeError unless i is an int, ValueError unless 0 <= i <= 2."""
+    if not isinstance(i, int):
+        raise TypeError("sl2 generator indices are int, not %s"
+                        % type(i).__name__)
+    if not 0 <= i <= 2:
+        raise ValueError("sl2 has generators for i in {0, 1, 2}")
 
 
 def sl2_L(i, state):
-    if not 0 <= i <= 2:
-        raise ValueError("sl2 has generators for i in {0, 1, 2}")
+    _check_index(i)
     return nth_product(_l_actor(i), 0, state)
 
 
@@ -59,8 +61,7 @@ _LPLUS_OPS = {
 
 
 def sl2_Lplus(i, state):
-    if not 0 <= i <= 2:
-        raise ValueError("sl2 has generators for i in {0, 1, 2}")
+    _check_index(i)
     return _LPLUS_OPS[i].apply(state)
 
 
@@ -80,35 +81,27 @@ def _l_from_lplus(i, state):
     return out
 
 
-def verify_relationL(kmax, dmax=2):
-    """Check L(i) against the gamma-shifted Lplus combination on every
-    extended basis state with weight <= kmax.  Returns failures."""
-    failures = []
+def verify_sl2(kmax, dmax=2):
+    """On every extended basis state with weight <= kmax, check L(i)
+    against the gamma-shifted Lplus combination and the brackets
+    [L(i), L(j)] = (j - i) L(i+j-1).  Returns the two failure lists,
+    (i, k, l, mon) for the relation and (i, j, k, l, mon) for the
+    brackets."""
+    relation, bracket = [], []
     for k in range(kmax + 1):
         for l in charges(k):
             for mon in enumerate_full(k, l, dmax):
                 st = {mon: 1}
+                img = [sl2_L(i, st) for i in range(3)]
                 for i in range(3):
-                    if sl2_L(i, st) != _l_from_lplus(i, st):
-                        failures.append((i, k, l, mon))
-    return failures
-
-
-def verify_sl2_bracket(kmax, dmax=2):
-    """Check [L(i), L(j)] = (j - i) L(i+j-1) on the same family."""
-    failures = []
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    for k in range(kmax + 1):
-        for l in charges(k):
-            for mon in enumerate_full(k, l, dmax):
-                st = {mon: 1}
-                for i, j in pairs:
-                    lhs = sl2_L(i, sl2_L(j, st))
-                    sadd(lhs, sl2_L(j, sl2_L(i, st)), -1)
-                    rhs = sscale(sl2_L(i + j - 1, st), j - i)
-                    if lhs != rhs:
-                        failures.append((i, j, k, l, mon))
-    return failures
+                    if img[i] != _l_from_lplus(i, st):
+                        relation.append((i, k, l, mon))
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    lhs = sl2_L(i, img[j])
+                    sadd(lhs, sl2_L(j, img[i]), -1)
+                    if lhs != sscale(img[i + j - 1], j - i):
+                        bracket.append((i, j, k, l, mon))
+    return relation, bracket
 
 
 def diagonal_monomials(mons):
@@ -141,44 +134,41 @@ class InvariantSpace:
     states: tuple
 
 
-def invariants(k, l, check=True):
+def invariants(k, l):
     """Basis of the invariant subspace in weight k, charge l.
 
-    The basis is the kernel of Lplus(2) on the diagonal monomials.  With
-    check, every basis state must also be killed by L(0), L(1) and L(2)
-    of the state-product route.  L(i) is linear, so the check runs on
-    each state's primitive integer multiple (the state times the lcm of
-    its coefficient denominators, primitive because the state has a
-    coefficient 1) and sees only int coefficients; the returned states
-    keep their int/Fraction coefficients.
+    The basis is the kernel of Lplus(2) on the diagonal monomials, and
+    every basis state must also be killed by L(0), L(1) and L(2) of the
+    state-product route, else ArithmeticError.  L(i) is linear, so the
+    check runs on each state's primitive integer multiple (the state
+    times the lcm of its coefficient denominators, primitive because the
+    state has a coefficient 1) and sees only int coefficients; the
+    returned states keep their int/Fraction coefficients.
     """
     block = diagonal_monomials(enumerate_basis(k, l))
     if not block:
         return InvariantSpace(k, l, 0, ())
     images = [sl2_Lplus(2, {m: 1}) for m in block]
     states = kernel_states(block, images)
-    if check:
-        for st in states:
-            den = lcm(*(c.denominator for c in st.values()))
-            scaled = {mon: c.numerator * (den // c.denominator)
-                      for mon, c in st.items()}
-            for i in range(3):
-                if sl2_L(i, scaled):
-                    raise ArithmeticError(
-                        "state-product route disagrees at (%d, %d)" % (k, l))
+    for st in states:
+        den = lcm(*(c.denominator for c in st.values()))
+        scaled = {mon: c.numerator * (den // c.denominator)
+                  for mon, c in st.items()}
+        for i in range(3):
+            if sl2_L(i, scaled):
+                raise ArithmeticError(
+                    "state-product route disagrees at (%d, %d)" % (k, l))
     return InvariantSpace(k, l, dim=len(states), states=tuple(states))
 
 
-def charge_range(k):
-    """All l with a nonempty positive-sector basis at weight k."""
-    return [l for l in charges(k) if enumerate_basis(k, l)]
+charge_range = charges  # the name perfbench/child.py calls
 
 
 def character(kmax):
     """{(k, l): dim} of the invariant subspace, nonzero entries only."""
     table = {}
     for k in range(kmax + 1):
-        for l in charge_range(k):
+        for l in charges(k):
             inv = invariants(k, l)
             if inv.dim:
                 table[(k, l)] = inv.dim

@@ -16,8 +16,7 @@ from chiral.freefield import GAMMA
 from chiral.geometry import (FormSection, case3_kernel, chain_residuals,
                              curvature_op, dbar_prime, dbar_total, f2,
                              seed_section, solve_recursion)
-from chiral.sl2 import (charge_range, invariants, verify_relationL,
-                        verify_sl2_bracket)
+from chiral.sl2 import charge_range, invariants, verify_sl2
 
 CHARACTER_4_JSON = """\
 {
@@ -74,19 +73,21 @@ def test_engine_axioms_exact_within_one_minute():
 
 
 def test_conformal_vector_relations_weight3():
-    assert verify_relationL(3, 2) == []
+    relation, _ = verify_sl2(3, 2)
+    assert relation == []
 
 
 def test_sl2_bracket_relations_weight3():
-    assert verify_sl2_bracket(3, 2) == []
+    _, bracket = verify_sl2(3, 2)
+    assert bracket == []
 
 
 def test_invariant_kernel_routes_agree_weight4():
-    # invariants(check=True) raises if the state-product and mode-word
-    # kernels differ; every kernel vector must avoid the gamma(-1) mode
+    # invariants raises if the state-product and mode-word kernels
+    # differ; every kernel vector must avoid the gamma(-1) mode
     for k in range(5):
         for l in charge_range(k):
-            inv = invariants(k, l, check=True)
+            inv = invariants(k, l)
             for st in inv.states:
                 for mon in st:
                     assert (GAMMA, -1) not in mon

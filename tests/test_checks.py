@@ -1,12 +1,13 @@
 import hashlib
 from fractions import Fraction
 
-from chiral import freefield, geometry
+from chiral import freefield, geometry, sl2
 from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
                            translation_failures)
 from chiral.freefield import BETA, C, GAMMA, VACUUM_MON, _intern
+from chiral.modeops import ModeOperator, pair
 
 
 def test_engine_sweep_clean():
@@ -64,7 +65,7 @@ def test_memo_rows_hold_what_a_cold_memo_computes(monkeypatch):
     assert len(stored) > 1000
     monkeypatch.setattr(freefield, "_prod_rows", {})
     monkeypatch.setattr(freefield, "_insert_rows", {})
-    monkeypatch.setattr(freefield, "_contract_cache", {})
+    freefield._contractions.cache_clear()
     for ia, n, ib, prod in stored:
         assert freefield._prod_mono(ia, n, ib) == prod, (ia, n, ib)
 
@@ -99,3 +100,43 @@ def test_geometry_sweep_catches_a_wrong_adjoint(monkeypatch):
                         "[gamma(-2) c(-1)](x)(1i/3)*v^2 dcg")
     digest = hashlib.sha256("\n".join(fails).encode()).hexdigest()
     assert digest == "823fafc21b9ff2c80f4d7bf27e2c3a8eab1dff08d0454b756a82d5d4a8ad2355"
+
+
+def _digest(fails):
+    return hashlib.sha256("\n".join(fails).encode()).hexdigest()
+
+
+def test_sl2_sweep_catches_a_wrong_lplus(monkeypatch):
+    # plant -1 for the -2 of Lplus(2)'s b c term: the relation fails for
+    # i = 2, and the kernel route then disagrees with the state products.
+    # Frozen from the sweep that walked relation and brackets separately
+    monkeypatch.setitem(sl2._LPLUS_OPS, 2, ModeOperator([
+        (1, pair(pair("gtilde", "gtilde"), "beta"), 0),
+        (-1, pair(pair("gtilde", "b"), "c"), 0)]))
+    fails = sl2_failures(kmax=2, dmax=2, kernel_kmax=3)
+    assert len(fails) == 69
+    assert fails[0] == "relationL i=2 fails on beta(-1) at (1,0)"
+    assert [f.split()[0] for f in fails] == ["relationL"] * 66 + ["kernel"] * 3
+    assert fails[66] == ("kernel routes disagree at (2,0): "
+                         "state-product route disagrees at (2, 0)")
+    assert _digest(fails) == (
+        "7d738e1ea7c38399809bf2545a746340c8f5bfacdad7ac2e3e1402907bda62db")
+
+
+def test_sl2_sweep_catches_a_wrong_l_actor(monkeypatch):
+    # plant twice the actor of L(0): the relation fails for i = 0, and
+    # [L(0), L(2)] = 2 L(1) fails, listed after every relation failure
+    real = sl2._l_actor
+
+    def doubled(i):
+        st = real(i)
+        return {m: 2 * c for m, c in st.items()} if i == 0 else st
+
+    monkeypatch.setattr(sl2, "_l_actor", doubled)
+    fails = sl2_failures(kmax=2, dmax=2, kernel_kmax=3)
+    assert len(fails) == 153
+    assert fails[0] == "relationL i=0 fails on gamma(-1) at (0,0)"
+    assert [f.split()[0] for f in fails] == ["relationL"] * 68 + ["bracket"] * 85
+    assert fails[68] == "bracket [L(0),L(2)] fails on gamma(-1) at (0,0)"
+    assert _digest(fails) == (
+        "ab0a8003d56c0fb895718abc5c73d8be5bb221a4798bcff4a040b27281c57a07")

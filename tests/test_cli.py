@@ -77,6 +77,14 @@ def test_dim_global_fixtures():
     assert cli.dim_global(2, -1, 2) == invariant_dim(2, -1)
 
 
+def test_dim_global_checks_the_genus_on_entry():
+    # block (0, 0) has no s < l, so it never reaches h0_canonical's check
+    for k, l in ((0, 0), (0, 1), (2, 0)):
+        for genus in (1, 0, -3):
+            with pytest.raises(ValueError, match="genus must be at least 2"):
+                cli.dim_global(k, l, genus)
+
+
 def invariant_dim(k, l):
     from chiral.sl2 import invariants
     return invariants(k, l).dim

@@ -146,6 +146,21 @@ def test_nth_product_rejects_a_repeated_odd_mode():
         ((GAMMA, -2), (GAMMA, -2)): 1}
 
 
+def test_nth_product_rejects_a_non_int_index_with_a_cold_or_warm_memo(
+        monkeypatch):
+    # the memo row of (a, 1) is found under (a, 1.0) too, so the answer
+    # to n = 1.0 must not depend on whether that row is filled: both raise
+    a, b = {((BETA, -1),): 1}, {((GAMMA, -1),): 1}
+    monkeypatch.setattr(freefield, "_prod_rows", {})
+    for warm in (False, True):
+        if warm:
+            assert nth_product(a, 1, b) == {}
+            assert nth_product(a, 0, b) == VACUUM
+        for n in (1.0, 0.0, Fraction(1)):
+            with pytest.raises(TypeError, match="product indices are int"):
+                nth_product(a, n, b)
+
+
 def test_wick_quasi_commutativity_correction():
     b1 = {((B, -1),): 1}
     c1 = {((C, -1),): 1}

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from chiral.basis import basis_block, enumerate_basis, mon_scount
-from chiral.chart import ChartFn, I
+from chiral.basis import basis_block, charges, enumerate_basis, mon_scount
+from chiral.chart import ChartFn, I, metric_data
 from chiral.freefield import BETA, GAMMA, B, C, mon_charge, mon_str, mon_weight
 from chiral.geometry import (FormSection, case3_kernel, chain_residuals,
                              curvature_op, dbar_prime, dbar_star, dbar_total,
@@ -97,6 +97,30 @@ def test_curvature_eigenvalue():
     assert curvature_op(bsec) == bsec.scale(-1)
     with pytest.raises(ValueError):
         curvature_op(FormSection(deg0={(): ONE_FN, ((C, -1),): ONE_FN}))
+
+
+def test_curvature_is_the_commutator_of_the_covariant_derivatives():
+    # an oracle apart from curvature_op's own definition.  Convention:
+    # R = dbar_prime . nabla_gamma - nabla_gamma . dbar_prime, a
+    # dconj(gamma)-form, and -i H^-1 R, read as a degree-0 section, is
+    # multiplication by l - s (the opposite order gives s - l)
+    minus_i_hinv = -(I * metric_data().h_inv)
+    coeffs = (ChartFn.v_pow(2), ChartFn({(1, -1): 1}), ChartFn.const(3),
+              ChartFn.v_pow(1))
+    count = 0
+    for k in range(6):
+        for l in charges(k):
+            for mon in enumerate_basis(k, l):
+                for f in coeffs:
+                    sec = FormSection(deg0={mon: f})
+                    r = (dbar_prime(nabla_gamma(sec))
+                         - nabla_gamma(dbar_prime(sec)))
+                    assert not r.deg0
+                    got = FormSection(deg0={m: minus_i_hinv * g
+                                            for m, g in r.deg1.items()})
+                    assert got == curvature_op(sec), (mon, f)
+                    count += 1
+    assert count == 2344
 
 
 def test_seed_closure():

@@ -338,7 +338,7 @@ def test_exact_path_matches_modular_on_invariant_blocks(monkeypatch):
     # every invariant block through weight 6, once through the modular
     # path and once with it declining, so the exact elimination over Q runs
     blocks = [(k, l) for k in range(7) for l in charges(k)]
-    modular = {kl: typed_states(invariants(*kl, check=False).states)
+    modular = {kl: typed_states(invariants(*kl).states)
                for kl in blocks}
     declined = []
 
@@ -348,7 +348,7 @@ def test_exact_path_matches_modular_on_invariant_blocks(monkeypatch):
 
     monkeypatch.setattr(linalg, "_modular_kernel", decline)
     for kl in blocks:
-        assert typed_states(invariants(*kl, check=False).states) == modular[kl]
+        assert typed_states(invariants(*kl).states) == modular[kl]
     assert len(declined) == 25  # one per nonempty diagonal block
 
 
