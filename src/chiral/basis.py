@@ -62,10 +62,19 @@ def split_by_s(mons):
     return {s: tuple(groups[s]) for s in sorted(groups)}
 
 
-@cache
 def enumerate_full(k: int, l: int, dmax: int):
     """Positive-sector basis of weight k, charge l, extended by powers
-    gamma_(-1)^d for 0 <= d <= dmax, in canonical monomial order."""
+    gamma_(-1)^d for 0 <= d <= dmax, in canonical monomial order.  A k
+    or dmax that is not an int raises TypeError, whatever is cached."""
+    for x, what in ((k, "weights"), (dmax, "gamma_(-1)-degree bounds")):
+        if not isinstance(x, int):
+            raise TypeError("%s are int, not %s" % (what, type(x).__name__))
+    return _full(k, l, dmax)
+
+
+@cache
+def _full(k, l, dmax):
+    """enumerate_full on checked arguments."""
     out = []
     for mon in enumerate_basis(k, l):
         pos = 0

@@ -57,21 +57,15 @@ def translation_failures(amax=3, xmax=2, adeg=2, xdeg=1, nbound=3):
         tids = [(_intern(tm), ct) for tm, ct in ta.items()]
         # the memo rows of a_(n-1) and of each monomial of (T a)_(n)
         rows = [(n, _prod_row(ia, n - 1),
-                 [(it, ct, _prod_row(it, n)) for it, ct in tids])
+                 [(ct, _prod_row(it, n)) for it, ct in tids])
                 for n in span]
         for xm, ix in X:
             for n, arow, trows in rows:
                 # lhs - rhs, accumulated on ids
-                p = arow.get(ix)
-                if p is None:
-                    p = _prod_mono(ia, n - 1, ix)
-                diff = {k: n * c for k, c in p}
+                diff = {k: n * c for k, c in arow[ix]}
                 get = diff.get
-                for it, ct, trow in trows:
-                    p = trow.get(ix)
-                    if p is None:
-                        p = _prod_mono(it, n, ix)
-                    for k, c in p:
+                for ct, trow in trows:
+                    for k, c in trow[ix]:
                         diff[k] = get(k, 0) + ct * c
                 if any(diff.values()):
                     x = {xm: 1}
@@ -156,7 +150,7 @@ def _commutator_pairs(found, pairs, X, nbound):
 
     The memo rows of every operator the check applies to x are fetched
     before the sweep over x, and each product is looked up in its row by
-    the id of its argument; _prod_mono only computes the misses."""
+    the id of its argument; a row computes and keeps only its misses."""
     span = range(-nbound, nbound + 1)
     am, bm = pairs[0][2:]
     ia, ib = _intern(am), _intern(bm)
@@ -166,10 +160,10 @@ def _commutator_pairs(found, pairs, X, nbound):
     arows = [_prod_row(ia, m) for m in span]
     brows = [_prod_row(ib, n) for n in span]
     # For each (m, n) and pair, the right side sum_j C(m,j) (a_(j)b)_(m+n-j)
-    # x as (row of p_(m+n-j), id of p, m+n-j, coeff) over the monomials p
-    # of the nonzero a_(j)b, scaled so that diff below is lhs - rhs for the
-    # first pair and, for its swap, lhs + sign rhs' = -sign (lhs' - rhs')
-    # as lhs' = -sign lhs.  The swap's right side is the one at (n, m).
+    # x as (row of p_(m+n-j), coeff) over the monomials p of the nonzero
+    # a_(j)b, scaled so that diff below is lhs - rhs for the first pair
+    # and, for its swap, lhs + sign rhs' = -sign (lhs' - rhs') as
+    # lhs' = -sign lhs.  The swap's right side is the one at (n, m).
     right = [[[] for n in span] for m in span]
     for v, (i, k, a, b) in enumerate(pairs):
         jprods = []
@@ -189,22 +183,14 @@ def _commutator_pairs(found, pairs, X, nbound):
                     cj = f * binomial(n if v else m, j)
                     if cj:
                         t = m + n - j
-                        terms.extend((_prod_row(ip, t), ip, t, cj * cp)
+                        terms.extend((_prod_row(ip, t), cj * cp)
                                      for ip, cp in pj)
                 right[mi][ni].append(terms)
     for xpos, (xm, ix, wx) in enumerate(X):
-        ys = []
-        for n, brow in zip(span, brows):
-            y = brow.get(ix)
-            if y is None:
-                y = _prod_mono(ib, n, ix)
-            ys.append(y)
+        ys = [brow[ix] for brow in brows]
         for mi, m in enumerate(span):
             arow = arows[mi]
-            z = arow.get(ix)
-            if z is None:
-                z = _prod_mono(ia, m, ix)
-            amx = [(iz, -sign * cz) for iz, cz in z]
+            amx = [(iz, -sign * cz) for iz, cz in arow[ix]]
             for ni, n in enumerate(span):
                 if wa + wb + wx - m - n - 2 < 0:
                     continue
@@ -212,17 +198,11 @@ def _commutator_pairs(found, pairs, X, nbound):
                 lhs = {}
                 get = lhs.get
                 for iy, cy in ys[ni]:
-                    p = arow.get(iy)
-                    if p is None:
-                        p = _prod_mono(ia, m, iy)
-                    for mid, c in p:
+                    for mid, c in arow[iy]:
                         lhs[mid] = get(mid, 0) + cy * c
                 brow = brows[ni]
                 for iz, cz in amx:
-                    p = brow.get(iz)
-                    if p is None:
-                        p = _prod_mono(ib, n, iz)
-                    for mid, c in p:
+                    for mid, c in brow[iz]:
                         lhs[mid] = get(mid, 0) + cz * c
                 for v, (i, k, a, b) in enumerate(pairs):
                     if v:
@@ -231,11 +211,8 @@ def _commutator_pairs(found, pairs, X, nbound):
                         diff = lhs.copy() if len(pairs) > 1 else lhs
                         mm, nn = m, n
                     get = diff.get
-                    for row, ip, t, cp in right[mi][ni][v]:
-                        p = row.get(ix)
-                        if p is None:
-                            p = _prod_mono(ip, t, ix)
-                        for mid, c in p:
+                    for row, cp in right[mi][ni][v]:
+                        for mid, c in row[ix]:
                             diff[mid] = get(mid, 0) + cp * c
                     if any(diff.values()):
                         found.append(((i, k, 1, xpos, mm, nn),

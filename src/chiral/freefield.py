@@ -26,9 +26,9 @@ per-monomial image memo of each chiral.modeops.ModeOperator.  sadd is
 the one sparse add; it also does chiral.linalg's row updates over Q.
 
 The n-th product of two monomials is computed by the iterate formula
-(see _prod_mono) and memoised.  Two exact shortcuts keep it off the
-products Wick's theorem proves zero.  A one-mode operator is taken in
-closed form: for a = u_(m)|0> and k = -1 - m,
+(see _ProdRow.__missing__) and memoised.  Two exact shortcuts keep it
+off the products Wick's theorem proves zero.  A one-mode operator is
+taken in closed form: for a = u_(m)|0> and k = -1 - m,
 a_(n) b = (-1)^k C(n, k) u_(n-k) b.  And for t >= 0, r_(t) b is a sum
 over nonempty sets of contractions between modes x_(m) of r and y_(p)
 of b, each contraction a pole of order -m - p - 1; a set's term reaches
@@ -38,23 +38,28 @@ first sum stops at t = _reach(r, b).
 
 Inside that engine, and in the engine sweep of chiral.checks,
 monomials are interned: each distinct monomial gets a small int id on
-first sight.  The memo holds one row per
-operator a_(n), keyed by (id of a, n); a row maps the id of b to a_(n) b
-as a tuple of (id, int) pairs with distinct ids and nonzero
-coefficients, so a sweep that applies one operator to many states
-fetches its row once (_prod_row) and looks each product up by an int.
-Every stored pair is the one object _pairs holds for its value, so
-products that share a term share its pair.  The second sum of the
-iterate formula is taken straight from the contractions of the peeled
-mode with the modes of b.  Everything public (nth_product, wick,
-apply_mode, apply_word, translate, state_str) takes and returns
+first sight.  The memo _prod_rows holds one row per operator a_(n),
+keyed by (id of a, n); a row maps the id of b to a_(n) b as a tuple of
+(id, int) pairs with distinct ids and nonzero coefficients.  The memo,
+its rows and the insertion rows of the creation modes are tables that
+fill their own misses (Memo, _ProdRow): _prod_rows[ia, n] makes the row
+of a_(n) on first use, and row[ib] computes a missing product and
+keeps it, unless the product lies below weight 0, where it is zero and
+answered without being stored.  So a sweep that applies one operator
+to many states fetches its row once (_prod_row) and reads every
+product as row[ib], and the engine itself reads its inner products
+the same way.  Every stored pair is the one object _pairs holds for
+its value, so products that share a term share its pair.  The second
+sum of the iterate formula is taken straight from the contractions of
+the peeled mode with the modes of b.  Everything public (nth_product,
+wick, apply_mode, apply_word, translate, state_str) takes and returns
 monomial-keyed states; the ids never leave this module and the engine
 sweep.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
 
 BETA, GAMMA, B, C = 0, 1, 2, 3
@@ -251,19 +256,31 @@ def _state(prod):
     return {_mons[i]: c for i, c in prod}
 
 
-_insert_rows = {}   # (gen, idx) -> {id: (sign, id)}
+class Memo(dict):
+    """A memo table that fills its own misses: reading a key it lacks
+    computes fill(key), keeps the value under the key and returns it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-def _insert(gen, idx, i, row):
+def _insert(gen, idx, i):
     """x_(idx) |i> for a creation mode x_(idx), as (sign, id), or
-    (None, None) if an odd mode repeats.  Stored under i in row, the
-    insertion row _insert_rows[(gen, idx)], which _prod_mono reads
-    before it calls this."""
+    (None, None) if an odd mode repeats."""
     hit = None, None
     for mon, sign in _apply_mode_mono(gen, idx, _mons[i]).items():
         hit = sign, _intern(mon)
-    row[i] = hit
     return hit
+
+
+# (gen, idx) -> the insertion row of x_(idx), {id: _insert(gen, idx, id)}
+_insert_rows = Memo(lambda mode: Memo(partial(_insert, *mode)))
 
 
 @cache
@@ -275,23 +292,6 @@ def _contractions(gen, i):
     js = sorted({-1 - idx for g, idx in mon if g == partner})
     return tuple((j, _intern(m), c) for j in js
                  for m, c in _apply_mode_mono(gen, j, mon).items())
-
-
-_prod_rows = {}    # (id of a, n) -> {id of b: a_(n) b}
-_pairs = {}        # (id, coeff) -> the one stored pair equal to it
-_EMPTY = ()        # every zero product
-
-
-def _prod_row(ia, n):
-    """The live memo row of a_(n) for the monomial with id ia: a dict
-    {ib: a_(n) b} of the products computed so far, each a tuple of
-    (id, int) pairs, which _prod_mono keeps filling.  A miss in it is
-    computed by _prod_mono(ia, n, ib); products below weight 0 are zero
-    and never stored."""
-    row = _prod_rows.get((ia, n))
-    if row is None:
-        row = _prod_rows[(ia, n)] = {}
-    return row
 
 
 def _reach(r, b):
@@ -310,103 +310,112 @@ def _reach(r, b):
     return reach
 
 
-def _prod_mono(ia, n, ib):
-    """The n-th product a_(n) b of the monomials with ids ia and ib, as a
-    tuple of (id, int) pairs with distinct ids and nonzero coefficients,
-    memoised under ib in the row of a_(n).  It is zero below weight 0.
+class _ProdRow(dict):
+    """The memo row of the operator a_(n), for the monomial a with id ia:
+    {id of b: a_(n) b}.  Reading a product the row lacks computes it."""
 
-    A one-mode a = u_(m)|0> takes the closed form of the module
-    docstring: one insertion through the insertion row of u_(n-k) if
-    n < 0, else the contractions of u_(n-k) with the modes of b (none if
-    n < k, where C(n, k) = 0).
+    __slots__ = ("ia", "n")
 
-    Otherwise the iterate formula peels the leftmost mode u_(m) of
-    a = u_(m) r (m <= -1, so every binomial below is nonzero):
+    def __init__(self, key):
+        self.ia, self.n = key
 
-    (u_(m) r)_(n) b = sum_j (-1)^j C(m,j) (u_(m-j) (r_(n+j) b)
-                      - (-1)^(m+|u||r|) r_(m+n-j) (u_(j) b))
+    def __missing__(self, ib):
+        """a_(n) b for the monomial b with id ib, as a tuple of (id, int)
+        pairs with distinct ids and nonzero coefficients, each pair the
+        one _pairs holds for its value.  It is kept under ib, unless it
+        lies below weight 0: then it is zero, answered as _EMPTY and
+        never stored.
 
-    u_(m-j) is a creation mode, inserted into each monomial of r_(n+j) b
-    through the insertion row of u_(m-j).  The first sum stops where
-    r_(n+j) b is zero by weight or by the contraction-degree bound of
-    the module docstring, n + j >= _reach(r, b).  u_(j) with j >= 0 only
-    contracts a mode of b, so the second sum runs over those
-    contractions rather than over every j.  Both sums read the products
-    of r from their memo rows and recurse only on a miss; every term of
-    either sum has the weight of a_(n) b, so none is below weight 0.
-    """
-    rows = _prod_rows
-    row = rows.get((ia, n))
-    if row is not None:
-        hit = row.get(ib)
-        if hit is not None:
-            return hit
-    wb = _weights[ib]
-    if _weights[ia] + wb - n - 1 < 0:
-        return _EMPTY
-    if row is None:
-        row = _prod_row(ia, n)
-    head = _heads[ia]
-    if head is None:
-        kc = (ib, 1)
-        out = row[ib] = (_pairs.setdefault(kc, kc),) if n == -1 else _EMPTY
-        return out
-    gu, m, rest = head
-    pair = _pairs.setdefault
-    if _heads[rest] is None:
-        # a = u_(m)|0>, k = -1 - m: a_(n) = (-1)^k C(n, k) u_(n-k), where
-        # (-1)^k C(n, k) = C(k-n-1, k) for n < 0 and C(n, k) = 0 for
-        # 0 <= n < k, when u_(n-k) has no contraction to make
-        k = -1 - m
-        mode = n - k
-        if n < 0:
-            irow = _insert_rows.get((gu, mode))
-            if irow is None:
-                irow = _insert_rows[(gu, mode)] = {}
-            sign, k2 = irow.get(ib) or _insert(gu, mode, ib, irow)
-            terms = () if sign is None else ((k2, sign * comb(k - n - 1, k)),)
+        A one-mode a = u_(m)|0> takes the closed form of the module
+        docstring: one insertion through the insertion row of u_(n-k) if
+        n < 0, else the contractions of u_(n-k) with the modes of b (none
+        if n < k, where C(n, k) = 0).
+
+        Otherwise the iterate formula peels the leftmost mode u_(m) of
+        a = u_(m) r (m <= -1, so every binomial below is nonzero):
+
+        (u_(m) r)_(n) b = sum_j (-1)^j C(m,j) (u_(m-j) (r_(n+j) b)
+                          - (-1)^(m+|u||r|) r_(m+n-j) (u_(j) b))
+
+        u_(m-j) is a creation mode, inserted into each monomial of
+        r_(n+j) b through the insertion row of u_(m-j).  The first sum
+        stops where r_(n+j) b is zero by weight or by the
+        contraction-degree bound of the module docstring,
+        n + j >= _reach(r, b).  u_(j) with j >= 0 only contracts a mode
+        of b, so the second sum runs over those contractions rather than
+        over every j.  Both sums read the products of r from their memo
+        rows, which compute only their misses; every term of either sum
+        has the weight of a_(n) b, so none is below weight 0.
+        """
+        ia, n = self.ia, self.n
+        wb = _weights[ib]
+        if _weights[ia] + wb - n - 1 < 0:
+            return _EMPTY
+        head = _heads[ia]
+        if head is None:
+            terms = ((ib, 1),) if n == -1 else ()
+        elif _heads[head[2]] is None:
+            # a = u_(m)|0>, k = -1 - m: a_(n) = (-1)^k C(n, k) u_(n-k), where
+            # (-1)^k C(n, k) = C(k-n-1, k) for n < 0 and C(n, k) = 0 for
+            # 0 <= n < k, when u_(n-k) has no contraction to make
+            gu, m, _ = head
+            k = -1 - m
+            mode = n - k
+            if n < 0:
+                sign, k2 = _insert_rows[gu, mode][ib]
+                terms = (() if sign is None
+                         else ((k2, sign * comb(k - n - 1, k)),))
+            else:
+                c = -comb(n, k) if k & 1 else comb(n, k)
+                terms = [(k2, c * c2) for j, k2, c2 in _contractions(gu, ib)
+                         if j == mode]
         else:
-            c = -comb(n, k) if k & 1 else comb(n, k)
-            terms = [(k2, c * c2) for j, k2, c2 in _contractions(gu, ib)
-                     if j == mode]
-        out = row[ib] = tuple([pair(kc, kc) for kc in terms])
+            gu, m, rest = head
+            rows = _prod_rows
+            out = {}
+            get = out.get
+            # first sum: u_(m-j) (r_(n+j) b); (-1)^j C(m,j) = C(j-m-1, j)
+            # for m < 0.  r_(n+j) b is zero below weight 0 and, by Wick's
+            # theorem, once n + j >= _reach(r, b)
+            for j in range(min(_weights[rest] + wb,
+                               _reach(_mons[rest], _mons[ib])) - n):
+                inner = rows[rest, n + j][ib]
+                if inner:
+                    cj = comb(j - m - 1, j)
+                    irow = _insert_rows[gu, m - j]
+                    for k, c in inner:
+                        sign, k2 = irow[k]
+                        if sign is not None:
+                            out[k2] = get(k2, 0) + sign * cj * c
+            # second sum: -(-1)^(m+|u||r|) r_(m+n-j) (u_(j) b)
+            sgn = 1 if (m + PARITY[gu] * _parities[rest]) & 1 else -1
+            for j, k, c in _contractions(gu, ib):
+                inner = rows[rest, m + n - j][k]
+                if inner:
+                    cj = sgn * comb(j - m - 1, j) * c
+                    for k2, c2 in inner:
+                        out[k2] = get(k2, 0) + cj * c2
+            terms = out.items()
+        pair = _pairs.setdefault
+        out = self[ib] = tuple([pair(kc, kc) for kc in terms if kc[1]])
         return out
-    out = {}
-    get = out.get
-    # first sum: u_(m-j) (r_(n+j) b); (-1)^j C(m,j) = C(j-m-1, j) for m < 0.
-    # r_(n+j) b is zero below weight 0 and, by Wick's theorem, once
-    # n + j >= _reach(r, b)
-    for j in range(min(_weights[rest] + wb, _reach(_mons[rest], _mons[ib]))
-                   - n):
-        t = n + j
-        inner = rows.get((rest, t))
-        inner = None if inner is None else inner.get(ib)
-        if inner is None:
-            inner = _prod_mono(rest, t, ib)
-        if inner:
-            cj = comb(j - m - 1, j)
-            mode = m - j
-            irow = _insert_rows.get((gu, mode))
-            if irow is None:
-                irow = _insert_rows[(gu, mode)] = {}
-            for k, c in inner:
-                sign, k2 = irow.get(k) or _insert(gu, mode, k, irow)
-                if sign is not None:
-                    out[k2] = get(k2, 0) + sign * cj * c
-    # second sum: -(-1)^(m+|u||r|) r_(m+n-j) (u_(j) b)
-    sgn = 1 if (m + PARITY[gu] * _parities[rest]) & 1 else -1
-    for j, k, c in _contractions(gu, ib):
-        t = m + n - j
-        inner = rows.get((rest, t))
-        inner = None if inner is None else inner.get(k)
-        if inner is None:
-            inner = _prod_mono(rest, t, k)
-        if inner:
-            cj = sgn * comb(j - m - 1, j) * c
-            for k2, c2 in inner:
-                out[k2] = get(k2, 0) + cj * c2
-    out = row[ib] = tuple([pair(kc, kc) for kc in out.items() if kc[1]])
-    return out
+
+
+_prod_rows = Memo(_ProdRow)   # (id of a, n) -> the memo row of a_(n)
+_pairs = {}        # (id, coeff) -> the one stored pair equal to it
+_EMPTY = ()        # every zero product
+
+
+def _prod_row(ia, n):
+    """The live memo row of a_(n) for the monomial with id ia, created on
+    first use: row[ib] reads a_(n) b, computing and keeping a miss."""
+    return _prod_rows[ia, n]
+
+
+def _prod_mono(ia, n, ib):
+    """The n-th product a_(n) b of the monomials with ids ia and ib, read
+    from the memo row of a_(n)."""
+    return _prod_rows[ia, n][ib]
 
 
 def nth_product(a, n, b):

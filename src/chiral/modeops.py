@@ -26,7 +26,8 @@ with the monomial's own weight as the bound.  That is exact: the words
 at a bound K are exactly those that can act nonzero on some state of
 weight <= K, so a larger bound only adds words that kill the monomial.
 apply sums the memoised images into a fresh dict, which callers may
-change in place.
+change in place.  The tries and the images are freefield.Memo tables,
+which compute and keep an entry the first time it is read.
 
 This route shares only the elementary mode action with the state-product
 engine; products of states are never used here.  Every mode action goes
@@ -37,8 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freefield import (BETA, GAMMA, PARTNER, B, C, apply_word, check_monomial,
-                        mon_weight, sadd)
+from .freefield import (BETA, GAMMA, PARTNER, B, C, Memo, apply_word,
+                        check_monomial, mon_weight, sadd)
 
 # symbol -> (generator, field weight, parity, excluded index or None)
 ATOMS = {
@@ -200,8 +201,9 @@ class ModeOperator:
                                 % type(c).__name__)
             _check_int(n, "ModeOperator mode indices")
             _check_expr(expr)
-        self._tries = {}   # bound -> trie of the words at that bound
-        self._images = {}  # monomial -> {monomial: coeff}
+        # bound -> trie of the words at that bound
+        self._tries = Memo(lambda bound: _trie(self.materialize(bound)))
+        self._images = Memo(self._image)  # monomial -> {monomial: coeff}
 
     def materialize(self, bound):
         terms = []
@@ -211,22 +213,16 @@ class ModeOperator:
         return terms
 
     def _image(self, mon):
+        """The image of one monomial, with its weight as the bound; the
+        images table calls it on a miss."""
         check_monomial(mon)
-        bound = mon_weight(mon)
-        trie = self._tries.get(bound)
-        if trie is None:
-            trie = self._tries[bound] = _trie(self.materialize(bound))
         out = {}
-        _walk(trie, {mon: 1}, out)
-        self._images[mon] = out
+        _walk(self._tries[mon_weight(mon)], {mon: 1}, out)
         return out
 
     def apply(self, state):
         out = {}
         images = self._images
         for mon, c in state.items():
-            img = images.get(mon)
-            if img is None:
-                img = self._image(mon)
-            sadd(out, img, c)
+            sadd(out, images[mon], c)
         return out

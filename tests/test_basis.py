@@ -1,3 +1,8 @@
+from fractions import Fraction
+
+import pytest
+
+from chiral import basis
 from chiral.basis import (basis_block, enumerate_basis, enumerate_full,
                           mon_scount, split_by_s)
 from chiral.freefield import (BETA, GAMMA, B, C, mon_charge, mon_weight,
@@ -75,6 +80,19 @@ def test_enumerate_full_layers():
         assert stripped in enumerate_basis(2, 1)
         assert mon_weight(mon) == 2
         assert mon_charge(mon) == 1
+
+
+def test_enumerate_full_rejects_a_non_int_bound_with_a_cold_or_warm_cache():
+    # the cached answer to (1, 0, 1) is found under (1.0, 0, 1) and
+    # (1, 0, 1.0) too, so the answer to a float weight or degree bound
+    # must not depend on whether it is cached: both raise
+    basis._full.cache_clear()
+    for warm in (False, True):
+        if warm:
+            assert len(enumerate_full(1, 0, 1)) == 6
+        for args in ((1.0, 0, 1), (Fraction(1), 0, 1), (1, 0, 1.0)):
+            with pytest.raises(TypeError, match="are int, not"):
+                enumerate_full(*args)
 
 
 def test_scount():

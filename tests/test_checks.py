@@ -26,9 +26,8 @@ def test_geometry_sweep_clean():
     assert geometry_failures(kmax=2, case3_kmax=3) == []
 
 
-def test_engine_sweep_catches_a_wrong_product(monkeypatch):
+def test_engine_sweep_catches_a_wrong_product(empty_memo):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
-    monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
     freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
     fails = translation_failures(ENGINE_CLI["amax"], ENGINE_CLI["xmax"],
@@ -40,10 +39,9 @@ def test_engine_sweep_catches_a_wrong_product(monkeypatch):
     assert len(commutator_failures(((1, 1, 1, 1),), 2)) == 207
 
 
-def test_commutator_sweep_reports_a_mixed_grading(monkeypatch):
+def test_commutator_sweep_reports_a_mixed_grading(empty_memo):
     # plant beta(-1)_(0) gamma(-1) = 1 + c(-1), which mixes weights and
     # charges: the sweep reports it as a grading failure and goes on
-    monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
     freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 1),
                                              (_intern(((C, -1),)), 1))
@@ -53,28 +51,25 @@ def test_commutator_sweep_reports_a_mixed_grading(monkeypatch):
     assert len(fails) == 283
 
 
-def test_memo_rows_hold_what_a_cold_memo_computes(monkeypatch):
+def test_memo_rows_hold_what_a_cold_memo_computes(empty_memo):
     # every product the sweep leaves in a row of the memo is the one a
     # fresh memo computes for its (a, n, b): one filed under the wrong
     # operator or argument would differ
-    monkeypatch.setattr(freefield, "_prod_rows", {})
     assert commutator_failures(((1, 1, 1, 1),), 2) == []
     stored = [(ia, n, ib, prod)
               for (ia, n), row in freefield._prod_rows.items()
               for ib, prod in row.items()]
     assert len(stored) > 1000
-    monkeypatch.setattr(freefield, "_prod_rows", {})
-    monkeypatch.setattr(freefield, "_insert_rows", {})
+    empty_memo()
     freefield._contractions.cache_clear()
     for ia, n, ib, prod in stored:
         assert freefield._prod_mono(ia, n, ib) == prod, (ia, n, ib)
 
 
-def test_engine_sweep_memo_holds_shared_pairs(monkeypatch):
+def test_engine_sweep_memo_holds_shared_pairs(monkeypatch, empty_memo):
     # after the `chiral verify` engine sweep from a fresh memo, every
     # stored product is a tuple of (id, nonzero int) pairs with distinct
     # ids, and every pair is the one object the pair table holds for it
-    monkeypatch.setattr(freefield, "_prod_rows", {})
     monkeypatch.setattr(freefield, "_pairs", {})
     assert engine_failures(**ENGINE_CLI) == []
     pairs = freefield._pairs
@@ -88,6 +83,22 @@ def test_engine_sweep_memo_holds_shared_pairs(monkeypatch):
             k, c = pair
             assert type(k) is int and type(c) is int and c
             assert pairs[pair] is pair
+    # no stored product lies below weight 0 (w_a + w_b - n - 1 < 0); a
+    # lookup there answers the zero product () and stores nothing, here
+    # b = |0> in every nonempty row whose a_(n)|0> is below weight 0
+    weights = freefield._weights
+    vacuum = _intern(VACUUM_MON)
+    looked_up = 0
+    for (ia, n), row in freefield._prod_rows.items():
+        for ib in row:
+            assert weights[ia] + weights[ib] - n - 1 >= 0, (ia, n, ib)
+        if row and weights[ia] - n - 1 < 0:
+            size = len(row)
+            assert row[vacuum] == () and vacuum not in row
+            assert freefield._prod_mono(ia, n, vacuum) == ()
+            assert len(row) == size
+            looked_up += 1
+    assert looked_up > 100
 
 
 def test_geometry_sweep_catches_a_wrong_adjoint(monkeypatch):

@@ -147,11 +147,10 @@ def test_nth_product_rejects_a_repeated_odd_mode():
 
 
 def test_nth_product_rejects_a_non_int_index_with_a_cold_or_warm_memo(
-        monkeypatch):
+        empty_memo):
     # the memo row of (a, 1) is found under (a, 1.0) too, so the answer
     # to n = 1.0 must not depend on whether that row is filled: both raise
     a, b = {((BETA, -1),): 1}, {((GAMMA, -1),): 1}
-    monkeypatch.setattr(freefield, "_prod_rows", {})
     for warm in (False, True):
         if warm:
             assert nth_product(a, 1, b) == {}
@@ -310,9 +309,8 @@ def test_skew_symmetry():
     assert _skew_failures(_family(2, 1), range(-2, 3)) == []
 
 
-def test_skew_symmetry_catches_a_wrong_product(monkeypatch):
+def test_skew_symmetry_catches_a_wrong_product(empty_memo):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
-    monkeypatch.setattr(freefield, "_prod_rows", {})
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
     freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
     fails = _skew_failures(_family(1, 1), range(-2, 3))
