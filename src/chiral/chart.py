@@ -30,7 +30,7 @@ e.g. ChartFn.v_pow(-2, -2) * I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -246,12 +246,11 @@ def _imag_str(b):
 I = _wrap({(0, 0, 1): 1})  # the imaginary unit
 
 
-@dataclass(frozen=True)
-class MetricData:
-    h: ChartFn            # hermitian metric i / (2 y^2) = -2i v^-2
-    h_inv: ChartFn        # (i/2) v^2
-    theta_coeff: ChartFn  # dconj(gamma)-coefficient of the connection form
-    b0_theta: ChartFn     # H^-1 d_gamma(theta_coeff), the constant i
+# h:           hermitian metric i / (2 y^2) = -2i v^-2
+# h_inv:       (i/2) v^2
+# theta_coeff: dconj(gamma)-coefficient of the connection form
+# b0_theta:    H^-1 d_gamma(theta_coeff), the constant i
+MetricData = namedtuple("MetricData", "h h_inv theta_coeff b0_theta")
 
 
 def metric_data() -> MetricData:

@@ -49,18 +49,22 @@ def vacuum_failures(amax=3, dmax=2, nbound=3):
 def translation_failures(amax=3, xmax=2, adeg=2, xdeg=1, nbound=3):
     """(translate a)_(n) = -n a_(n-1) as operators."""
     fails = []
-    X = [(xm, _intern(xm)) for xm in _family(xmax, xdeg)]
+    X = [(xm, _intern(xm), mon_weight(xm)) for xm in _family(xmax, xdeg)]
     span = range(-nbound, nbound + 1)
     for am in _family(amax, adeg):
-        ia = _intern(am)
+        ia, wa = _intern(am), mon_weight(am)
         ta = translate({am: 1})
         tids = [(_intern(tm), ct) for tm, ct in ta.items()]
         # the memo rows of a_(n-1) and of each monomial of (T a)_(n)
         rows = [(n, _prod_row(ia, n - 1),
                  [(ct, _prod_row(it, n)) for it, ct in tids])
                 for n in span]
-        for xm, ix in X:
+        for xm, ix, wx in X:
             for n, arow, trows in rows:
+                # both sides lie at weight wa + wx - n; below 0 they are
+                # zero, and no row is read
+                if wa + wx < n:
+                    break
                 # lhs - rhs, accumulated on ids
                 diff = {k: n * c for k, c in arow[ix]}
                 get = diff.get
@@ -148,10 +152,21 @@ def _commutator_pairs(found, pairs, X, nbound):
     """Check the commutator formula on one pair (a, b), or on a pair and
     its swap (b, a), adding (sweep position, failure) to found.
 
-    The memo rows of every operator the check applies to x are fetched
-    before the sweep over x, and each product is looked up in its row by
-    the id of its argument; a row computes and keeps only its misses."""
+    All (m, n) instances of one x are checked in one table: the entry at
+    key mid * S + slot holds the coefficient of the monomial with id mid
+    in lhs - rhs at (m, n), where slot numbers (m, n) in the span and S
+    is the number of slots.  Each pair then costs one pass over the table
+    per x, and the key of a nonzero entry, taken mod S, names a failing
+    (m, n), whose failure is built anew from states.
+
+    A monomial p of a_(j)b fixes j, so the product p_(t)x serves every
+    (m, n) with m + n = t + j: it is read once per x and added into each
+    of those slots.  Every product below weight 0 is zero and is never
+    read.  Products are looked up in their memo rows by the id of their
+    argument; a row computes and keeps only its misses."""
     span = range(-nbound, nbound + 1)
+    size = len(span)
+    S = size * size
     am, bm = pairs[0][2:]
     ia, ib = _intern(am), _intern(bm)
     wa, la, pa = mon_weight(am), mon_charge(am), mon_parity(am)
@@ -159,65 +174,85 @@ def _commutator_pairs(found, pairs, X, nbound):
     sign = -1 if pa & pb else 1
     arows = [_prod_row(ia, m) for m in span]
     brows = [_prod_row(ib, n) for n in span]
-    # For each (m, n) and pair, the right side sum_j C(m,j) (a_(j)b)_(m+n-j)
-    # x as (row of p_(m+n-j), coeff) over the monomials p of the nonzero
-    # a_(j)b, scaled so that diff below is lhs - rhs for the first pair
-    # and, for its swap, lhs + sign rhs' = -sign (lhs' - rhs') as
-    # lhs' = -sign lhs.  The swap's right side is the one at (n, m).
-    right = [[[] for n in span] for m in span]
+    # For each pair, the right side sum_j C(m,j) (a_(j)b)_(m+n-j) x as
+    # (least weight of x, row of p_(t), [(slot, coeff)]) over the
+    # monomials p of the nonzero a_(j)b, scaled so that the table below
+    # is lhs - rhs for the first pair and, for its swap, lhs + sign rhs'
+    # = -sign (lhs' - rhs') as lhs' = -sign lhs.  The swap's right side
+    # at slot (m, n) is the one at (n, m).  Instances at m + n = t + j
+    # lie below weight 0 unless weight(x) >= t + j + 2 - wa - wb.
+    right = []
     for v, (i, k, a, b) in enumerate(pairs):
-        jprods = []
+        terms = []
         for j in range(wa + wb):
             pj = _prod_mono(_intern(a), j, _intern(b))
-            if pj:
-                if weight_charge(_state(pj)) != (wa + wb - j - 1, la + lb):
-                    found.append(((i, k, 0, j), _failure(
-                        "grading: %s_(%d)%s" % (mon_str(a), j, mon_str(b)),
-                        _state(pj), {})))
-                jprods.append((j, pj))
-        f = sign if v else -1
-        for mi, m in enumerate(span):
-            for ni, n in enumerate(span):
-                terms = []
-                for j, pj in jprods:
-                    cj = f * binomial(n if v else m, j)
+            if not pj:
+                continue
+            if weight_charge(_state(pj)) != (wa + wb - j - 1, la + lb):
+                found.append(((i, k, 0, j), _failure(
+                    "grading: %s_(%d)%s" % (mon_str(a), j, mon_str(b)),
+                    _state(pj), {})))
+            slots = {}
+            for mi, m in enumerate(span):
+                for ni, n in enumerate(span):
+                    cj = binomial(n if v else m, j)
                     if cj:
-                        t = m + n - j
-                        terms.extend((_prod_row(ip, t), cj * cp)
-                                     for ip, cp in pj)
-                right[mi][ni].append(terms)
+                        slots.setdefault(m + n - j, []).append(
+                            (mi * size + ni, sign * cj if v else -cj))
+            for t, st in slots.items():
+                terms.extend((t + j + 2 - wa - wb, _prod_row(ip, t),
+                              [(slot, cj * cp) for slot, cj in st])
+                             for ip, cp in pj)
+        terms.sort(key=lambda term: term[0])
+        right.append(terms)
     for xpos, (xm, ix, wx) in enumerate(X):
-        ys = [brow[ix] for brow in brows]
+        # lhs: a_(m)(b_(n)x) - sign b_(n)(a_(m)x) at every (m, n) whose
+        # weight wa + wb + wx - m - n - 2 is at least 0
+        top = wa + wb + wx - 2
+        table = {}
+        get = table.get
+        for ni, n in enumerate(span):
+            if n > wb + wx - 1:
+                break
+            y = brows[ni][ix]
+            if y:
+                for mi in range(min(size, top - n + nbound + 1)):
+                    arow = arows[mi]
+                    slot = mi * size + ni
+                    for iy, cy in y:
+                        for mid, c in arow[iy]:
+                            key = mid * S + slot
+                            table[key] = get(key, 0) + cy * c
         for mi, m in enumerate(span):
-            arow = arows[mi]
-            amx = [(iz, -sign * cz) for iz, cz in arow[ix]]
-            for ni, n in enumerate(span):
-                if wa + wb + wx - m - n - 2 < 0:
-                    continue
-                # the left side, accumulated on ids
-                lhs = {}
-                get = lhs.get
-                for iy, cy in ys[ni]:
-                    for mid, c in arow[iy]:
-                        lhs[mid] = get(mid, 0) + cy * c
-                brow = brows[ni]
-                for iz, cz in amx:
-                    for mid, c in brow[iz]:
-                        lhs[mid] = get(mid, 0) + cz * c
-                for v, (i, k, a, b) in enumerate(pairs):
-                    if v:
-                        diff, mm, nn = lhs, n, m
-                    else:
-                        diff = lhs.copy() if len(pairs) > 1 else lhs
-                        mm, nn = m, n
-                    get = diff.get
-                    for row, cp in right[mi][ni][v]:
-                        for mid, c in row[ix]:
-                            diff[mid] = get(mid, 0) + cp * c
-                    if any(diff.values()):
-                        found.append(((i, k, 1, xpos, mm, nn),
-                                      _commutator_failure(a, mm, b, nn, xm,
-                                                          sign)))
+            if m > wa + wx - 1:
+                break
+            z = [(iz, -sign * cz) for iz, cz in arows[mi][ix]]
+            if z:
+                for ni in range(min(size, top - m + nbound + 1)):
+                    brow = brows[ni]
+                    slot = mi * size + ni
+                    for iz, cz in z:
+                        for mid, c in brow[iz]:
+                            key = mid * S + slot
+                            table[key] = get(key, 0) + cz * c
+        for v, (i, k, a, b) in enumerate(pairs):
+            diff = table if v or len(pairs) == 1 else table.copy()
+            get = diff.get
+            for need, row, slots in right[v]:
+                if wx < need:
+                    break
+                for mid, c in row[ix]:
+                    base = mid * S
+                    for slot, cp in slots:
+                        key = base + slot
+                        diff[key] = get(key, 0) + cp * c
+            if any(diff.values()):
+                for slot in {key % S for key, c in diff.items() if c}:
+                    m, n = span[slot // size], span[slot % size]
+                    mm, nn = (n, m) if v else (m, n)
+                    found.append(((i, k, 1, xpos, mm, nn),
+                                  _commutator_failure(a, mm, b, nn, xm,
+                                                      sign)))
 
 
 ENGINE_CLI = {
@@ -225,9 +260,9 @@ ENGINE_CLI = {
     "blocks": ((2, 2, 1, 0), (1, 1, 1, 1)),
 }
 # widest sweep fitting the one-minute budget on a single core; the
-# plain product of the per-role weight caps does not.  It takes 18-20 s
+# plain product of the per-role weight caps does not.  It takes 16-20 s
 # (three cold runs) on a shared 2-core VM under Python 3.11.7, at about
-# 185 MB peak RSS.
+# 183 MB peak RSS.
 ENGINE_FULL = {
     "amax": 3, "xmax": 2, "adeg": 2, "xdeg": 1, "nbound": 3,
     "blocks": ((2, 2, 2, 0), (3, 1, 1, 0), (1, 1, 1, 2)),

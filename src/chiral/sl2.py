@@ -21,7 +21,7 @@ is the kernel of Lplus(2) on the monomials where that count vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import lcm
 
@@ -126,12 +126,8 @@ def kernel_states(mons, images):
             for vec in kernel_basis(mat)]
 
 
-@dataclass
-class InvariantSpace:
-    k: int
-    l: int
-    dim: int
-    states: tuple
+# the invariant subspace in weight k, charge l: its dimension and a basis
+InvariantSpace = namedtuple("InvariantSpace", "k l dim states")
 
 
 def invariants(k, l):

@@ -1,7 +1,8 @@
 import hashlib
+import sys
 from fractions import Fraction
 
-from chiral import freefield, geometry, sl2
+from chiral import checks, freefield, geometry, sl2
 from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
@@ -36,7 +37,10 @@ def test_engine_sweep_catches_a_wrong_product(empty_memo):
     assert len(fails) == 5
     assert fails[0] == ("translation: (T beta(-1))_(1) gamma(-1): "
                         "lhs = (-1) 1, rhs = (-2) 1")
-    assert len(commutator_failures(((1, 1, 1, 1),), 2)) == 207
+    fails = commutator_failures(((1, 1, 1, 1),), 2)
+    assert len(fails) == 207
+    assert _digest(fails) == (
+        "c0f5a107339e504a7d9b1da89916c7b88933a31ec8b5091c78cac4be6bfe9b62")
 
 
 def test_commutator_sweep_reports_a_mixed_grading(empty_memo):
@@ -49,6 +53,44 @@ def test_commutator_sweep_reports_a_mixed_grading(empty_memo):
     assert ("grading: beta(-1)_(0)gamma(-1): lhs = (1) 1 + (1) c(-1), "
             "rhs = 0") in fails
     assert len(fails) == 283
+    assert _digest(fails) == (
+        "e3504b883b8ec6bcbb288bf1630f8cb64fb1a0b99059691763545f78e7c56ff0")
+
+
+def test_commutator_sweep_catches_a_wrong_product_in_the_gamma1_free_block(
+        empty_memo):
+    # plant beta(-1)_(1) gamma(-2) = 2 (it is 1) inside the block the
+    # sweep takes at gamma_(-1)-degree 0, where the other plants never
+    # show; the failures of both pairs of each swap are listed, in order
+    key = (_intern(((BETA, -1),)), 1, _intern(((GAMMA, -2),)))
+    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
+    fails = commutator_failures(((2, 2, 1, 0),), 2)
+    assert len(fails) == 1415
+    assert fails[0] == ("commutator: [c(-1)_(-2), beta(-1)_(1)] gamma(-2): "
+                        "lhs = (1) c(-2), rhs = 0")
+    assert _digest(fails) == (
+        "4b1a5d12168f01ac8f184e4b248ff1fcee27c50dfd5d9506b7049d4e9f83d2a7")
+
+
+def test_engine_sweep_reads_no_product_below_weight_0(monkeypatch,
+                                                      empty_memo):
+    # a product below weight 0 is zero and never stored, so reading one
+    # is a wasted memo miss: the loops in checks make none, while the
+    # vacuum sweep's reads through nth_product still do
+    real = freefield._ProdRow.__missing__
+    weights = freefield._weights
+    callers = []
+
+    def counting(row, ib):
+        if weights[row.ia] + weights[ib] - row.n - 1 < 0:
+            code = sys._getframe(1).f_code
+            callers.append((code.co_filename, code.co_name))
+        return real(row, ib)
+
+    monkeypatch.setattr(freefield._ProdRow, "__missing__", counting)
+    assert engine_failures(**ENGINE_CLI) == []
+    assert callers
+    assert [c for c in callers if c[0] == checks.__file__] == []
 
 
 def test_memo_rows_hold_what_a_cold_memo_computes(empty_memo):

@@ -261,7 +261,8 @@ def test_import_leaves_cli_unloaded():
     assert chiral.h0_canonical is h0_canonical
     proc = python_warnings_as_errors(
         "-c", "import sys, chiral; print(sorted(m for m in "
-              "('argparse', 'chiral.cli') if m in sys.modules))")
+              "('argparse', 'chiral.cli', 'dataclasses', 'inspect') "
+              "if m in sys.modules))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
