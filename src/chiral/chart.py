@@ -19,7 +19,8 @@ hashing compare the stored data.
 The arithmetic runs on int alone.  A sum costs one addition per term,
 plus one multiplication per term when the two denominators differ (both
 sides are brought to their lcm); a product costs one multiplication per
-pair of terms, a derivative or scale one per term.  A result whose
+pair of terms, a derivative or scale one per term (d/dgamma one per
+partial, in one pass that sums d/du and d/dv).  A result whose
 denominator is above 1 is then reduced by one math.gcd over its
 numerators; over denominator 1 nothing is reduced.  The constructor and
 scale take int or Fraction coefficients and read a Fraction's numerator
@@ -200,10 +201,31 @@ class ChartFn:
                         self._den)
 
     def d_gamma(self) -> "ChartFn":
-        return self.d_u() + self.d_v()
+        """d/du + d/dv in one pass over the terms and one reduction."""
+        out = {}
+        get = out.get
+        for (du, dv, w), c in self._nums.items():
+            if du:
+                key = (du - 1, dv, w)
+                v = get(key, 0) + c * du
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+            if dv:
+                key = (du, dv - 1, w)
+                v = get(key, 0) + c * dv
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return _reduced(out, self._den)
 
     def d_gammabar(self) -> "ChartFn":
-        return -self.d_v()
+        """-d/dv."""
+        return _reduced({(du, dv - 1, w): -c * dv
+                         for (du, dv, w), c in self._nums.items() if dv},
+                        self._den)
 
     def __repr__(self):
         if not self._nums:

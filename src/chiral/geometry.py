@@ -6,7 +6,7 @@ positive-sector fiber monomials and f, g chart functions.  The operators:
 * dbar_prime: the antiholomorphic covariant derivative.  Per monomial,
   d/dconj(gamma) on the coefficient plus (s - l) copies of the connection
   form, since beta- and b-type modes each contribute +theta and gamma-
-  and c-type modes -theta.
+  and c-type modes -theta; one pass over the modes gives the count.
 * dbar_star: the formal adjoint -i H^-1 iota d/dgamma, which in chart
   coordinates is (v^2/2) d/dgamma on the dconj(gamma)-coefficient.
   Both theta and -i H^-1 are read from chart.metric_data() at import.
@@ -22,6 +22,12 @@ positive-sector fiber monomials and f, g chart functions.  The operators:
   chain_residuals reuses the images solve_recursion computed for the
   same chain entries; dbar_total on a summed section, a new object,
   recomputes them.
+
+The public FormSection(...) checks that every coefficient is a ChartFn
+and drops the zeros.  The sections this module builds itself (sums,
+scalings, dbar_prime, dbar_star and the f1/f2 tail) skip that check:
+each drops the zeros it makes, a sum that cancels or a derivative of a
+constant, and keeps only nonzero ChartFns.
 
 The total differential on a curve is dbar_prime + f1 + f2, and a
 dbar_prime-closed seed in a block with l - s > 0 extends to a closed
@@ -41,7 +47,8 @@ from functools import cache
 
 from .basis import basis_block, enumerate_basis, mon_scount, split_by_s
 from .chart import ChartFn, I, metric_data
-from .freefield import BETA, apply_mode, mon_charge, mon_weight, sadd
+from .freefield import (BETA, GAMMA, B, C, apply_mode, mon_charge,
+                        mon_weight, sadd)
 from .modeops import ModeOperator, pair
 from .sl2 import invariants, kernel_states, sl2_Lplus
 
@@ -49,6 +56,8 @@ _METRIC = metric_data()
 _THETA = _METRIC.theta_coeff
 _HALF_V2 = -(I * _METRIC.h_inv)  # -i H^-1 = v^2/2
 _IMGAMMA_SQ = ChartFn.v_pow(2, Fraction(-1, 4))  # (Im gamma)^2 = -v^2/4
+# the (s - l) count of dbar_prime, per mode generator
+_S_MINUS_L = {BETA: 1, B: 1, GAMMA: -1, C: -1}
 
 
 def _clean(part):
@@ -60,10 +69,34 @@ def _clean(part):
     return {m: f for m, f in part.items() if f}
 
 
+def _section(deg0, deg1) -> "FormSection":
+    """The section over deg0 and deg1, taken as they are: every value a
+    nonzero ChartFn that this module built."""
+    sec = FormSection.__new__(FormSection)
+    sec.deg0 = deg0
+    sec.deg1 = deg1
+    sec._f1 = sec._f2 = None
+    return sec
+
+
+def _add_into(out, pairs):
+    """Add each (m, f) of pairs into out[m], dropping an entry whose sum
+    cancels; returns out."""
+    for m, f in pairs:
+        if m in out:
+            f = out[m] + f
+            if not f:
+                del out[m]
+                continue
+        out[m] = f
+    return out
+
+
 class FormSection:
     """deg0 and deg1 map fiber monomials to chart coefficients; deg1 is
     the dconj(gamma) component.  A coefficient that is not a ChartFn
-    raises TypeError.
+    raises TypeError, and zero coefficients are dropped; the sections
+    the module builds itself skip that check (_section).
 
     A section is a value: nothing changes deg0 or deg1 after
     construction, so a section keeps its f1 and f2 images once they are
@@ -86,13 +119,8 @@ class FormSection:
         return self.deg0 == other.deg0 and self.deg1 == other.deg1
 
     def __add__(self, other):
-        d0 = dict(self.deg0)
-        for m, f in other.deg0.items():
-            d0[m] = d0[m] + f if m in d0 else f
-        d1 = dict(self.deg1)
-        for m, f in other.deg1.items():
-            d1[m] = d1[m] + f if m in d1 else f
-        return FormSection(d0, d1)
+        return _section(_add_into(dict(self.deg0), other.deg0.items()),
+                        _add_into(dict(self.deg1), other.deg1.items()))
 
     def __neg__(self):
         return self.scale(-1)
@@ -101,8 +129,10 @@ class FormSection:
         return self + (-other)
 
     def scale(self, c):
-        return FormSection({m: f.scale(c) for m, f in self.deg0.items()},
-                           {m: f.scale(c) for m, f in self.deg1.items()})
+        d0 = {m: f.scale(c) for m, f in self.deg0.items()}
+        d1 = {m: f.scale(c) for m, f in self.deg1.items()}
+        # f.scale has checked c; c = 0 leaves only zeros
+        return _section(d0, d1) if c else _section({}, {})
 
     def gradings(self):
         """The set of (weight, charge, s) over all fiber monomials."""
@@ -124,13 +154,13 @@ def dbar_prime(sec: FormSection) -> FormSection:
     vanishes on a curve, so only the degree-0 part contributes."""
     out = {}
     for mon, f in sec.deg0.items():
-        n = mon_scount(mon) - mon_charge(mon)
+        n = sum(_S_MINUS_L[gen] for gen, _ in mon)
         g = f.d_gammabar()
         if n:
             g = g + (_THETA * f).scale(n)
         if g:
             out[mon] = g
-    return FormSection(deg1=out)
+    return _section({}, out)
 
 
 def nabla_gamma(sec: FormSection) -> FormSection:
@@ -144,8 +174,12 @@ def dbar_star(sec: FormSection) -> FormSection:
     """-i H^-1 iota_{dcg} nabla_gamma: degree 1 -> degree 0."""
     if sec.deg0:
         raise ValueError("dbar_star acts on pure degree-1 sections")
-    return FormSection(deg0={m: _HALF_V2 * g.d_gamma()
-                             for m, g in sec.deg1.items()})
+    out = {}
+    for m, g in sec.deg1.items():
+        h = _HALF_V2 * g.d_gamma()
+        if h:
+            out[m] = h
+    return _section(out, {})
 
 
 # fiber operators; the full f1 operator is i times _N1_RAT, with the i
@@ -183,12 +217,9 @@ def n1_fiber(state):
 def _tail(terms) -> FormSection:
     """The degree-1 section sum of coeff (x) image over the (chart
     coefficient, fiber image) pairs of terms, summed per monomial."""
-    out = {}
-    for coeff, img in terms:
-        for m2, c in img.items():
-            g = coeff.scale(c)
-            out[m2] = out[m2] + g if m2 in out else g
-    return FormSection(deg1=out)
+    return _section({}, _add_into({}, ((m2, coeff.scale(c))
+                                       for coeff, img in terms
+                                       for m2, c in img.items())))
 
 
 def f1(sec: FormSection) -> FormSection:
@@ -301,14 +332,24 @@ def case3_kernel(k, s):
     return states
 
 
+def _check_genus(genus):
+    """Raise TypeError unless genus is an int, ValueError below 2."""
+    if not isinstance(genus, int):
+        raise TypeError("genera are int, not %s" % type(genus).__name__)
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+
+
 def h0_canonical(m, genus):
     """Dimension of the space of holomorphic sections of the m-th power
     of the canonical bundle on a closed curve of genus >= 2.  Classical
     values: 1 for m = 0, g for m = 1, (2m-1)(g-1) for m >= 2.  This is
-    the one ingredient not computed by the exact engine.
+    the one ingredient not computed by the exact engine.  An m or genus
+    that is not an int raises TypeError, a genus below 2 ValueError.
     """
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
+    if not isinstance(m, int):
+        raise TypeError("canonical powers are int, not %s" % type(m).__name__)
+    _check_genus(genus)
     if m < 0:
         return 0
     if m == 0:
@@ -321,10 +362,9 @@ def h0_canonical(m, genus):
 def dim_global(k, l, genus):
     """Global-section dimension of the [k, l] block over a genus-g
     curve: the invariant space plus, for every s < l, the block count
-    times h0 of the (l-s)-th canonical power.  A genus below 2 raises
-    ValueError, as in h0_canonical."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
+    times h0 of the (l-s)-th canonical power.  A genus that is not an
+    int raises TypeError and one below 2 ValueError, as in h0_canonical."""
+    _check_genus(genus)
     total = invariants(k, l).dim
     for s, mons in split_by_s(enumerate_basis(k, l)).items():
         if s < l:

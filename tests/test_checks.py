@@ -2,7 +2,7 @@ import hashlib
 import sys
 from fractions import Fraction
 
-from chiral import checks, freefield, geometry, sl2
+from chiral import freefield, geometry, sl2
 from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
@@ -75,8 +75,8 @@ def test_commutator_sweep_catches_a_wrong_product_in_the_gamma1_free_block(
 def test_engine_sweep_reads_no_product_below_weight_0(monkeypatch,
                                                       empty_memo):
     # a product below weight 0 is zero and never stored, so reading one
-    # is a wasted memo miss: the loops in checks make none, while the
-    # vacuum sweep's reads through nth_product still do
+    # is a wasted memo miss: the sweep makes none, neither in the loops
+    # of checks nor in the recursion of freefield
     real = freefield._ProdRow.__missing__
     weights = freefield._weights
     callers = []
@@ -89,8 +89,7 @@ def test_engine_sweep_reads_no_product_below_weight_0(monkeypatch,
 
     monkeypatch.setattr(freefield._ProdRow, "__missing__", counting)
     assert engine_failures(**ENGINE_CLI) == []
-    assert callers
-    assert [c for c in callers if c[0] == checks.__file__] == []
+    assert callers == []
 
 
 def test_memo_rows_hold_what_a_cold_memo_computes(empty_memo):
@@ -153,6 +152,20 @@ def test_geometry_sweep_catches_a_wrong_adjoint(monkeypatch):
                         "[gamma(-2) c(-1)](x)(1i/3)*v^2 dcg")
     digest = hashlib.sha256("\n".join(fails).encode()).hexdigest()
     assert digest == "823fafc21b9ff2c80f4d7bf27e2c3a8eab1dff08d0454b756a82d5d4a8ad2355"
+
+
+def test_geometry_sweep_catches_a_wrong_connection(monkeypatch):
+    # plant -v^-1 for the -2 v^-1 of the connection form: every seed
+    # A (x) v^(2(l-s)) is then no longer dbar_prime-closed, and the sweep
+    # must report each one it tries; this holds only while dbar_prime
+    # reads geometry._THETA, the metric data the sweep checks
+    monkeypatch.setattr(geometry, "_THETA", ChartFn.v_pow(-1, -1))
+    fails = geometry_failures(kmax=2, case3_kmax=0)
+    assert len(fails) == 15
+    assert fails[0] == ("recursion failed on c(-1): "
+                        "seed must be dbar_prime-closed")
+    assert _digest(fails) == (
+        "439f927fa433c0fd02fbc0337b85afaba2657cffaa245969bc7eecdcaf61aec3")
 
 
 def _digest(fails):

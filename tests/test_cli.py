@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,16 @@ def test_h0_canonical_values():
     assert h0_canonical(3, 3) == 10
     with pytest.raises(ValueError):
         h0_canonical(2, 1)
+
+
+def test_dimensions_reject_a_non_int_genus_or_power():
+    # a float genus or power would give a float "dimension"
+    for m, genus in ((2.0, 3), (2, 3.0), (Fraction(2), 3), (2, 2.5)):
+        with pytest.raises(TypeError):
+            h0_canonical(m, genus)
+    for genus in (2.5, 2.0, Fraction(3), "2"):
+        with pytest.raises(TypeError):
+            cli.dim_global(2, 0, genus)
 
 
 def test_dim_global_fixtures():

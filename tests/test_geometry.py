@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -174,6 +175,51 @@ def test_recursion_sweep_small():
                         assert not res
                     assert not dbar_total(sections_sum(chain))
     assert chains == 1172
+
+
+def _assert_nonzero_chart_coefficients(sec):
+    for part in (sec.deg0, sec.deg1):
+        for f in part.values():
+            assert type(f) is ChartFn and f, sec
+
+
+def _assert_empty(sec):
+    _assert_nonzero_chart_coefficients(sec)
+    assert sec.deg0 == {} and sec.deg1 == {}, sec
+
+
+def test_every_built_section_holds_only_nonzero_chart_coefficients():
+    # the sections geometry builds skip the check of the public
+    # constructor, so each route must drop the zeros it makes itself;
+    # every seed with l - s >= 1 through weight 3, bare and times u, and
+    # every section built from it
+    seeds = 0
+    for k in range(4):
+        for l in range(-(k + 2), k + 3):
+            for mon, g in product(enumerate_basis(k, l),
+                                  (None, ChartFn.u_pow(1))):
+                if l - mon_scount(mon) < 1:
+                    continue
+                seeds += 1
+                chain = solve_recursion(seed_section(mon, g))
+                residuals = chain_residuals(chain)
+                total = sections_sum(chain)
+                built = [*chain, *residuals, total]
+                for a in chain:
+                    built += [f1(a), f2(a), dbar_prime(a), dbar_total(a),
+                              dbar_star(f1(a))]
+                for sec in built:
+                    _assert_nonzero_chart_coefficients(sec)
+                # the cancelling cases are empty; d/dgamma kills the
+                # constant coefficients f1 gives a constant section
+                plain = FormSection(deg0={mon: ONE_FN})
+                for sec in (*residuals, dbar_total(total),
+                            dbar_star(f1(plain))):
+                    _assert_empty(sec)
+                for a in chain:
+                    _assert_empty(a.scale(0))
+                    _assert_empty(a - a)
+    assert seeds == 98
 
 
 def test_case3_matches_invariants():
