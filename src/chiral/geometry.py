@@ -284,8 +284,8 @@ def solve_recursion(seed: FormSection):
         if t >= 2:
             num = num + f2(chain[t - 2])
         step = dbar_star(num)
-        denom = Fraction(t * (l - s)) + Fraction(t * (t - 1), 2)
-        chain.append(step.scale(Fraction(-1, 1) / denom))
+        # -(t (l-s) + t(t-1)/2)^{-1} as one Fraction
+        chain.append(step.scale(Fraction(-2, t * (2 * (l - s) + t - 1))))
         if not chain[-1] and not chain[-2] and t >= 2:
             break
     else:
