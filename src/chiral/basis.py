@@ -54,6 +54,14 @@ def charges(k: int):
     return sorted(_walk(k))
 
 
+def grades(kmax: int):
+    """The (k, l) of every nonempty block of weight k <= kmax: weights
+    in increasing order, each with its charges in increasing order."""
+    for k in range(kmax + 1):
+        for l in charges(k):
+            yield k, l
+
+
 def split_by_s(mons):
     """Group monomials by s = #beta - #gamma; returns {s: tuple}, keys sorted."""
     groups = {}

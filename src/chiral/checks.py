@@ -2,12 +2,16 @@
 
 Each function exhaustively checks one family of identities over graded
 basis states and returns a list of human-readable failure strings; an
-empty list means every instance held exactly.  Ranges are parameters so
-callers can trade coverage for time; the defaults are sized for an
-interactive run.
+empty list means every instance held exactly.  Each size has one home
+here.  The engine families take their ranges as parameters: `chiral
+verify` runs them at ENGINE_CLI, and ENGINE_FULL is the widest sweep
+that fits the one-minute budget.  The sl2 sweep runs at SL2_SIZES and
+EMPTINESS_KMAX.  geometry_failures defaults to its `chiral verify` size.
 """
 
-from .basis import charges, enumerate_basis, enumerate_full, split_by_s
+from . import geometry as geo, sl2
+from .basis import (charges, enumerate_basis, enumerate_full, grades,
+                    mon_scount, split_by_s)
 from .chart import ChartFn, I, metric_data
 from .freefield import (VACUUM, _intern, _prod_mono, _prod_row, _state,
                         binomial, mon_charge, mon_parity, mon_str, mon_weight,
@@ -16,11 +20,7 @@ from .freefield import (VACUUM, _intern, _prod_mono, _prod_row, _state,
 
 
 def _family(kmax, dmax):
-    mons = []
-    for k in range(kmax + 1):
-        for l in charges(k):
-            mons.extend(enumerate_full(k, l, dmax))
-    return mons
+    return [mon for k, l in grades(kmax) for mon in enumerate_full(k, l, dmax)]
 
 
 def _failure(what, lhs, rhs):
@@ -31,7 +31,7 @@ def _fail(fails, what, lhs, rhs):
     fails.append(_failure(what, lhs, rhs))
 
 
-def vacuum_failures(amax=3, dmax=2, nbound=3):
+def vacuum_failures(amax, dmax, nbound):
     """a_(n)|0> = 0 for n >= 0 and a_(-1)|0> = a.  For n >= weight(a),
     a_(n)|0> lies below weight 0, where every product is zero by the
     grading, so only n < weight(a) is read."""
@@ -48,7 +48,7 @@ def vacuum_failures(amax=3, dmax=2, nbound=3):
     return fails
 
 
-def translation_failures(amax=3, xmax=2, adeg=2, xdeg=1, nbound=3):
+def translation_failures(amax, xmax, adeg, xdeg, nbound):
     """(translate a)_(n) = -n a_(n-1) as operators."""
     fails = []
     X = [(xm, _intern(xm), mon_weight(xm)) for xm in _family(xmax, xdeg)]
@@ -112,7 +112,7 @@ def _commutator_failure(am, m, bm, n, xm, sign):
                     % (mon_str(am), m, mon_str(bm), n, mon_str(xm)), lhs, rhs)
 
 
-def commutator_failures(blocks=((2, 2, 1, 0), (1, 1, 1, 1)), nbound=3):
+def commutator_failures(blocks, nbound):
     """The commutator formula
 
         a_(m)(b_(n)x) - (-1)^{|a||b|} b_(n)(a_(m)x)
@@ -271,8 +271,7 @@ ENGINE_FULL = {
 }
 
 
-def engine_failures(amax=2, xmax=1, adeg=1, xdeg=1, nbound=2,
-                    blocks=((2, 2, 1, 0), (1, 1, 1, 1))):
+def engine_failures(amax, xmax, adeg, xdeg, nbound, blocks):
     fails = []
     fails += vacuum_failures(amax, adeg, nbound)
     fails += normalization_failures()
@@ -281,11 +280,18 @@ def engine_failures(amax=2, xmax=1, adeg=1, xdeg=1, nbound=2,
     return fails
 
 
-def emptiness_failures(kmax=5):
+# the sl2 sweep's sizes (kmax, dmax, kernel_kmax): relations and brackets
+# through weight kmax at gamma_(-1)-degree <= dmax, invariant kernels
+# through weight kernel_kmax
+SL2_SIZES = (2, 2, 3)
+EMPTINESS_KMAX = 5
+
+
+def emptiness_failures():
     """split_by_s blocks [k, l, s] with k < |s| are empty, and every s
-    with |s| <= k is hit by some charge."""
+    with |s| <= k is hit by some charge, through weight EMPTINESS_KMAX."""
     fails = []
-    for k in range(kmax + 1):
+    for k in range(EMPTINESS_KMAX + 1):
         seen = set()
         for l in charges(k):
             blocks = split_by_s(enumerate_basis(k, l))
@@ -301,8 +307,8 @@ def emptiness_failures(kmax=5):
     return fails
 
 
-def sl2_failures(kmax=3, dmax=2, kernel_kmax=4):
-    from . import sl2
+def sl2_failures():
+    kmax, dmax, kernel_kmax = SL2_SIZES
     fails = []
     relation, bracket = sl2.verify_sl2(kmax, dmax)
     for (i, k, l, mon) in relation:
@@ -311,17 +317,16 @@ def sl2_failures(kmax=3, dmax=2, kernel_kmax=4):
     for (i, j, k, l, mon) in bracket:
         fails.append("bracket [L(%d),L(%d)] fails on %s at (%d,%d)"
                      % (i, j, mon_str(mon), k, l))
-    for k in range(kernel_kmax + 1):
-        for l in charges(k):
-            try:
-                inv = sl2.invariants(k, l)
-            except ArithmeticError as exc:
-                fails.append("kernel routes disagree at (%d,%d): %s" % (k, l, exc))
-                continue
-            for st in inv.states:
-                if any((GAMMA, -1) in mon for mon in st):
-                    fails.append("kernel vector at (%d,%d) is not gamma_(-1)-free: %s"
-                                 % (k, l, state_str(st)))
+    for k, l in grades(kernel_kmax):
+        try:
+            inv = sl2.invariants(k, l)
+        except ArithmeticError as exc:
+            fails.append("kernel routes disagree at (%d,%d): %s" % (k, l, exc))
+            continue
+        for st in inv.states:
+            if any((GAMMA, -1) in mon for mon in st):
+                fails.append("kernel vector at (%d,%d) is not gamma_(-1)-free: %s"
+                             % (k, l, state_str(st)))
     if len(sl2.invariants(0, 0).states) != 1:
         fails.append("dim W^T[0,0] != 1")
     if sl2.invariants(0, 1).states:
@@ -331,8 +336,8 @@ def sl2_failures(kmax=3, dmax=2, kernel_kmax=4):
 
 
 def geometry_failures(kmax=2, case3_kmax=3):
-    from . import geometry as geo
-    from .basis import basis_block, mon_scount
+    # imported per call, as perfbench/layertrace.py rebinds basis.basis_block
+    from .basis import basis_block
     fails = []
     md = metric_data()
     if md.h != ChartFn.v_pow(-2, -2) * I:
@@ -344,36 +349,35 @@ def geometry_failures(kmax=2, case3_kmax=3):
     if md.b0_theta != I:
         fails.append("metric: B_(0) theta != i: %r" % md.b0_theta)
     one = ChartFn.const(1)
-    for k in range(kmax + 1):
-        for l in charges(k):
-            for mon in enumerate_basis(k, l):
-                s = mon_scount(mon)
-                sec = geo.FormSection(deg0={mon: ChartFn.v_pow(1)})
-                for op, ds in ((geo.f1, -1), (geo.f2, -2)):
-                    for m2 in op(sec).deg1:
-                        got = (mon_weight(m2), mon_charge(m2), mon_scount(m2))
-                        if got != (k, l, s + ds):
-                            fails.append("grading: F drops s wrongly on %s" % mon_str(mon))
-                plain = geo.FormSection(deg0={mon: one})
-                if geo.curvature_op(plain) != plain.scale(l - s):
-                    fails.append("curvature != (l-s) id on %s" % mon_str(mon))
-                if l - s in (1, 2):
-                    try:
-                        chain = geo.solve_recursion(geo.seed_section(mon))
-                    except (ValueError, ArithmeticError) as exc:
-                        fails.append("recursion failed on %s: %s" % (mon_str(mon), exc))
-                        continue
-                    if len(chain) - 1 > k + s + 1:
-                        fails.append("recursion too long on %s" % mon_str(mon))
-                    for t, res in enumerate(geo.chain_residuals(chain)):
-                        if res:
-                            fails.append("recursion identity t=%d fails on %s: %r"
-                                         % (t, mon_str(mon), res))
-                    total = geo.FormSection()
-                    for a in chain:
-                        total = total + a
-                    if geo.dbar_total(total):
-                        fails.append("Dbar(sum) != 0 on %s" % mon_str(mon))
+    for k, l in grades(kmax):
+        for mon in enumerate_basis(k, l):
+            s = mon_scount(mon)
+            sec = geo.FormSection(deg0={mon: ChartFn.v_pow(1)})
+            for op, ds in ((geo.f1, -1), (geo.f2, -2)):
+                for m2 in op(sec).deg1:
+                    got = (mon_weight(m2), mon_charge(m2), mon_scount(m2))
+                    if got != (k, l, s + ds):
+                        fails.append("grading: F drops s wrongly on %s" % mon_str(mon))
+            plain = geo.FormSection(deg0={mon: one})
+            if geo.curvature_op(plain) != plain.scale(l - s):
+                fails.append("curvature != (l-s) id on %s" % mon_str(mon))
+            if l - s in (1, 2):
+                try:
+                    chain = geo.solve_recursion(geo.seed_section(mon))
+                except (ValueError, ArithmeticError) as exc:
+                    fails.append("recursion failed on %s: %s" % (mon_str(mon), exc))
+                    continue
+                if len(chain) - 1 > k + s + 1:
+                    fails.append("recursion too long on %s" % mon_str(mon))
+                for t, res in enumerate(geo.chain_residuals(chain)):
+                    if res:
+                        fails.append("recursion identity t=%d fails on %s: %r"
+                                     % (t, mon_str(mon), res))
+                total = geo.FormSection()
+                for a in chain:
+                    total = total + a
+                if geo.dbar_total(total):
+                    fails.append("Dbar(sum) != 0 on %s" % mon_str(mon))
     for k in range(case3_kmax + 1):
         for s in range(-k, k + 1):
             for mon in basis_block(k, s, s):

@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import checks
-from .basis import charges
+from .basis import grades
 from .freefield import state_str
 from .geometry import dim_global
 from .sl2 import character, invariants
@@ -62,8 +62,8 @@ def _run_suite(name):
     if name == "engine":
         return checks.engine_failures(**checks.ENGINE_CLI)
     if name == "sl2":
-        return checks.sl2_failures(kmax=2, dmax=2, kernel_kmax=3)
-    return checks.geometry_failures(kmax=2, case3_kmax=3)
+        return checks.sl2_failures()
+    return checks.geometry_failures()
 
 
 def cmd_verify(args):
@@ -81,12 +81,8 @@ def cmd_verify(args):
 
 
 def cmd_hzero(args):
-    entries = []
-    for k in range(args.max_weight + 1):
-        for l in charges(k):
-            d = dim_global(k, l, args.genus)
-            if d:
-                entries.append((k, l, d))
+    entries = [(k, l, d) for k, l in grades(args.max_weight)
+               if (d := dim_global(k, l, args.genus))]
     _emit_table(entries, args.format,
                 {"max_weight": args.max_weight, "genus": args.genus})
     return 0

@@ -119,6 +119,8 @@ class FormSection:
         return self.deg0 == other.deg0 and self.deg1 == other.deg1
 
     def __add__(self, other):
+        if not isinstance(other, FormSection):
+            return NotImplemented
         return _section(_add_into(dict(self.deg0), other.deg0.items()),
                         _add_into(dict(self.deg1), other.deg1.items()))
 
@@ -126,6 +128,8 @@ class FormSection:
         return self.scale(-1)
 
     def __sub__(self, other):
+        if not isinstance(other, FormSection):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c):

@@ -54,6 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import index
 
 from .freefield import sadd
 
@@ -64,15 +65,19 @@ PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
 
 
 class Matrix:
-    """Sparse rows x cols matrix; entries maps (row, col) -> int or Fraction."""
+    """Sparse rows x cols matrix; entries maps (row, col) -> int or Fraction.
+    A dimension or index that is not an int raises TypeError (through
+    operator.index), a negative dimension ValueError."""
 
     def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows
-        self.cols = cols
+        self.rows = rows = index(rows)
+        self.cols = cols = index(cols)
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions are >= 0, not %dx%d" % (rows, cols))
         self.entries = {}
         if entries:
             for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
+                if not (0 <= index(r) < rows and 0 <= index(c) < cols):
                     raise IndexError("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
                 if not isinstance(v, (int, Fraction)):
                     raise TypeError("matrix entries are int or Fraction, not %s"

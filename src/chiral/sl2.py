@@ -25,8 +25,8 @@ from collections import namedtuple
 from functools import cache
 from math import lcm
 
-from .basis import charges, enumerate_basis, enumerate_full
-from .freefield import (FIELD_WEIGHT, GAMMA, Q_STATE, B, apply_mode,
+from .basis import charges, enumerate_basis, enumerate_full, grades
+from .freefield import (FIELD_WEIGHT, GAMMA, Q_STATE, B, apply_mode, binomial,
                         nth_product, sadd, sscale)
 from .linalg import Matrix, kernel_basis
 from .modeops import ModeOperator, pair
@@ -73,34 +73,32 @@ def gamma_shift(state, d=1):
 
 
 def _l_from_lplus(i, state):
-    out = sl2_Lplus(i, state)
-    if i >= 1:
-        sadd(out, gamma_shift(sl2_Lplus(i - 1, state)), i)
-    if i == 2:
-        sadd(out, gamma_shift(sl2_Lplus(0, state), 2))
+    """L(i) = sum_j C(i, j) g^j Lplus(i - j), g = gamma_(-1)."""
+    out = {}
+    for j in range(i + 1):
+        sadd(out, gamma_shift(sl2_Lplus(i - j, state), j), binomial(i, j))
     return out
 
 
-def verify_sl2(kmax, dmax=2):
+def verify_sl2(kmax, dmax):
     """On every extended basis state with weight <= kmax, check L(i)
     against the gamma-shifted Lplus combination and the brackets
     [L(i), L(j)] = (j - i) L(i+j-1).  Returns the two failure lists,
     (i, k, l, mon) for the relation and (i, j, k, l, mon) for the
     brackets."""
     relation, bracket = [], []
-    for k in range(kmax + 1):
-        for l in charges(k):
-            for mon in enumerate_full(k, l, dmax):
-                st = {mon: 1}
-                img = [sl2_L(i, st) for i in range(3)]
-                for i in range(3):
-                    if img[i] != _l_from_lplus(i, st):
-                        relation.append((i, k, l, mon))
-                for i, j in ((0, 1), (0, 2), (1, 2)):
-                    lhs = sl2_L(i, img[j])
-                    sadd(lhs, sl2_L(j, img[i]), -1)
-                    if lhs != sscale(img[i + j - 1], j - i):
-                        bracket.append((i, j, k, l, mon))
+    for k, l in grades(kmax):
+        for mon in enumerate_full(k, l, dmax):
+            st = {mon: 1}
+            img = [sl2_L(i, st) for i in range(3)]
+            for i in range(3):
+                if img[i] != _l_from_lplus(i, st):
+                    relation.append((i, k, l, mon))
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                lhs = sl2_L(i, img[j])
+                sadd(lhs, sl2_L(j, img[i]), -1)
+                if lhs != sscale(img[i + j - 1], j - i):
+                    bracket.append((i, j, k, l, mon))
     return relation, bracket
 
 
@@ -162,10 +160,5 @@ charge_range = charges  # the name perfbench/child.py calls
 
 def character(kmax):
     """{(k, l): dim} of the invariant subspace, nonzero entries only."""
-    table = {}
-    for k in range(kmax + 1):
-        for l in charges(k):
-            inv = invariants(k, l)
-            if inv.dim:
-                table[(k, l)] = inv.dim
-    return table
+    return {(k, l): dim for k, l in grades(kmax)
+            if (dim := invariants(k, l).dim)}

@@ -96,7 +96,7 @@ def test_invariant_kernel_routes_agree_weight4():
 
 
 def test_blocks_empty_exactly_when_weight_below_s():
-    assert emptiness_failures(5) == []
+    assert emptiness_failures() == []
 
 
 def test_metric_constants_bit_exact():

@@ -4,7 +4,7 @@ import pytest
 
 from chiral import basis
 from chiral.basis import (basis_block, enumerate_basis, enumerate_full,
-                          mon_scount, split_by_s)
+                          grades, mon_scount, split_by_s)
 from chiral.freefield import (BETA, GAMMA, B, C, mon_charge, mon_weight,
                               VACUUM_MON)
 
@@ -43,6 +43,14 @@ def test_weight_family_sizes():
         sizes.append(sum(len(enumerate_basis(k, l))
                          for l in range(-(k + 2), k + 3)))
     assert sizes == [2, 8, 24, 64]
+
+
+def test_grades_yield_each_nonempty_block_once_in_order():
+    # every charge of a weight-k monomial lies in [-(k + 2), k + 2]
+    for kmax in range(13):
+        want = [(k, l) for k in range(kmax + 1)
+                for l in range(-(k + 2), k + 3) if enumerate_basis(k, l)]
+        assert list(grades(kmax)) == want
 
 
 def test_split_by_s():

@@ -16,11 +16,11 @@ def test_engine_sweep_clean():
 
 
 def test_emptiness_sweep_clean():
-    assert emptiness_failures(5) == []
+    assert emptiness_failures() == []
 
 
 def test_sl2_sweep_clean():
-    assert sl2_failures(kmax=2, dmax=2, kernel_kmax=3) == []
+    assert sl2_failures() == []
 
 
 def test_geometry_sweep_clean():
@@ -179,7 +179,7 @@ def test_sl2_sweep_catches_a_wrong_lplus(monkeypatch):
     monkeypatch.setitem(sl2._LPLUS_OPS, 2, ModeOperator([
         (1, pair(pair("gtilde", "gtilde"), "beta"), 0),
         (-1, pair(pair("gtilde", "b"), "c"), 0)]))
-    fails = sl2_failures(kmax=2, dmax=2, kernel_kmax=3)
+    fails = sl2_failures()
     assert len(fails) == 69
     assert fails[0] == "relationL i=2 fails on beta(-1) at (1,0)"
     assert [f.split()[0] for f in fails] == ["relationL"] * 66 + ["kernel"] * 3
@@ -199,7 +199,7 @@ def test_sl2_sweep_catches_a_wrong_l_actor(monkeypatch):
         return {m: 2 * c for m, c in st.items()} if i == 0 else st
 
     monkeypatch.setattr(sl2, "_l_actor", doubled)
-    fails = sl2_failures(kmax=2, dmax=2, kernel_kmax=3)
+    fails = sl2_failures()
     assert len(fails) == 153
     assert fails[0] == "relationL i=0 fails on gamma(-1) at (0,0)"
     assert [f.split()[0] for f in fails] == ["relationL"] * 68 + ["bracket"] * 85

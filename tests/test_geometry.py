@@ -250,6 +250,17 @@ def test_form_section_rejects_non_chart_coefficients():
             FormSection(deg1={((BETA, -1),): bad})
 
 
+def test_form_section_arithmetic_with_a_non_section_is_a_type_error():
+    sec = FormSection(deg0={((BETA, -1),): ONE_FN})
+    for other in (1, 0, ONE_FN, "x"):
+        with pytest.raises(TypeError):
+            sec + other
+        with pytest.raises(TypeError):
+            sec - other
+        with pytest.raises(TypeError):
+            other + sec
+
+
 def test_chain_residuals_rejects_an_empty_chain():
     with pytest.raises(ValueError, match="nonempty"):
         chain_residuals([])

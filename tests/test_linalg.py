@@ -29,6 +29,20 @@ def test_entry_validation():
     assert Matrix(2, 2, {(0, 1): 0}).entries == {}
 
 
+def test_matrix_rejects_a_bad_shape_or_index():
+    for rows, cols in ((2.0, 2), (2, "2"), (None, 1)):
+        with pytest.raises(TypeError):
+            Matrix(rows, cols)
+    for rows, cols in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            Matrix(rows, cols)
+    for key in ((0.0, 1), (0, 1.0), (Fraction(0), 0)):
+        with pytest.raises(TypeError):
+            Matrix(1, 2, {key: 1})
+    # an empty shape is a valid matrix
+    assert kernel_basis(Matrix(0, 2)) == [[1, 0], [0, 1]]
+
+
 def test_rank_simple():
     # rank 1, 3 and 0: the kernel has cols - rank vectors
     m = Matrix(2, 3, {(0, 0): 1, (0, 2): 2, (1, 0): 2, (1, 2): 4})
