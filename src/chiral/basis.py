@@ -10,13 +10,19 @@ Each weight is enumerated once, by a depth-first walk over the creation
 modes in canonical order that extends a monomial only by modes at or
 after its last one (strictly after an odd one), so monomials come out in
 canonical order with no sort and b, c modes never repeat.
+
+basis_block(k, l, s) is the s-block of a weight-k, charge-l basis; the
+block s = l is where chiral.sl2 takes the invariants.  enumerate_full
+adds gamma_(-1) powers to a basis and keeps no memo of its own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 
-from .freefield import BETA, FIELD_WEIGHT, GAMMA, PARITY, B, C, mon_charge
+from .freefield import (BETA, FIELD_WEIGHT, GAMMA, PARITY, B, C, check_int,
+                        mon_charge)
 
 
 def mon_scount(mon) -> int:
@@ -73,23 +79,14 @@ def split_by_s(mons):
 def enumerate_full(k: int, l: int, dmax: int):
     """Positive-sector basis of weight k, charge l, extended by powers
     gamma_(-1)^d for 0 <= d <= dmax, in canonical monomial order.  A k
-    or dmax that is not an int raises TypeError, whatever is cached."""
-    for x, what in ((k, "weights"), (dmax, "gamma_(-1)-degree bounds")):
-        if not isinstance(x, int):
-            raise TypeError("%s are int, not %s" % (what, type(x).__name__))
-    return _full(k, l, dmax)
-
-
-@cache
-def _full(k, l, dmax):
-    """enumerate_full on checked arguments."""
+    or dmax that is not an int raises TypeError."""
+    check_int(k, "weights")
+    check_int(dmax, "gamma_(-1)-degree bounds")
     out = []
     for mon in enumerate_basis(k, l):
-        pos = 0
-        while pos < len(mon) and mon[pos] < (GAMMA, -1):
-            pos += 1
-        for d in range(dmax + 1):
-            out.append(mon[:pos] + ((GAMMA, -1),) * d + mon[pos:])
+        pos = bisect_left(mon, (GAMMA, -1))
+        out.extend(mon[:pos] + ((GAMMA, -1),) * d + mon[pos:]
+                   for d in range(dmax + 1))
     out.sort()
     return tuple(out)
 

@@ -35,6 +35,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
+from .freefield import check_int
+
 
 def _ratio(c):
     """c (an int or Fraction) as a (numerator, denominator) pair of ints."""
@@ -72,8 +74,8 @@ class ChartFn:
     Stored as _nums, a dict (a, b, w) -> nonzero int, over the common
     denominator _den, in lowest terms: c = (re + im*i) / _den occupies
     (a, b, 0) -> re and (a, b, 1) -> im, each only when nonzero.  The
-    constructor and scale take rational coefficients; a product with I
-    supplies the rest."""
+    constructor takes int degrees, else TypeError; it and scale take
+    rational coefficients, and a product with I supplies the rest."""
 
     __slots__ = ("_nums", "_den")
 
@@ -82,6 +84,8 @@ class ChartFn:
         den = 1
         if terms:
             for (du, dv), c in terms.items():
+                check_int(du, "u-degrees")
+                check_int(dv, "v-degrees")
                 if du < 0:
                     raise ValueError("negative u-degree")
                 p, q = _ratio(c)

@@ -86,6 +86,13 @@ VACUUM_MON = ()
 VACUUM = {VACUUM_MON: 1}
 
 
+def check_int(x, what):
+    """Raise TypeError unless x is an int; what names the values in the
+    message, e.g. "weights" gives "weights are int, not float"."""
+    if not isinstance(x, int):
+        raise TypeError("%s are int, not %s" % (what, type(x).__name__))
+
+
 def mon_weight(mon) -> int:
     return sum(FIELD_WEIGHT[g] - n - 1 for g, n in mon)
 
@@ -421,8 +428,7 @@ def _prod_mono(ia, n, ib):
 def nth_product(a, n, b):
     """Bilinear extension of the n-th product to states.  An n that is
     not an int raises TypeError."""
-    if not isinstance(n, int):
-        raise TypeError("product indices are int, not %s" % type(n).__name__)
+    check_int(n, "product indices")
     out = {}
     get = out.get
     bids = [(_intern(bmon), cb) for bmon, cb in b.items()]

@@ -47,7 +47,7 @@ from functools import cache
 
 from .basis import basis_block, enumerate_basis, mon_scount, split_by_s
 from .chart import ChartFn, I, metric_data
-from .freefield import (BETA, GAMMA, B, C, apply_mode, mon_charge,
+from .freefield import (BETA, GAMMA, B, C, apply_mode, check_int, mon_charge,
                         mon_weight, sadd)
 from .modeops import ModeOperator, pair
 from .sl2 import invariants, kernel_states, sl2_Lplus
@@ -338,8 +338,7 @@ def case3_kernel(k, s):
 
 def _check_genus(genus):
     """Raise TypeError unless genus is an int, ValueError below 2."""
-    if not isinstance(genus, int):
-        raise TypeError("genera are int, not %s" % type(genus).__name__)
+    check_int(genus, "genera")
     if genus < 2:
         raise ValueError("genus must be at least 2")
 
@@ -351,8 +350,7 @@ def h0_canonical(m, genus):
     the one ingredient not computed by the exact engine.  An m or genus
     that is not an int raises TypeError, a genus below 2 ValueError.
     """
-    if not isinstance(m, int):
-        raise TypeError("canonical powers are int, not %s" % type(m).__name__)
+    check_int(m, "canonical powers")
     _check_genus(genus)
     if m < 0:
         return 0

@@ -9,8 +9,11 @@ of a pair is
 The sums are materialized as explicit words of generator modes, keeping
 exactly the terms that can act nonzero on some state of weight <= K:
 an annihilation mode x_(n) kills every state of weight < n + 1 -
-fieldweight(x), and weights are never negative.  The symbol "gtilde" is
-the gamma family with the (-1) mode removed.
+fieldweight(x), and weights are never negative.  ATOMS maps each field
+symbol to its generator and the one mode it leaves out, if any: the
+symbol "gtilde" is the gamma family with the (-1) mode removed.  Field
+weights and parities are the generator's, freefield.FIELD_WEIGHT and
+PARITY.
 
 A ModeOperator does each piece of work once.  Per weight bound it
 compiles its terms a single time into a trie of their words, keyed by
@@ -38,16 +41,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freefield import (BETA, GAMMA, PARTNER, B, C, Memo, apply_word,
-                        check_monomial, mon_weight, sadd)
+from .freefield import (BETA, FIELD_WEIGHT, GAMMA, PARITY, PARTNER, B, C,
+                        Memo, apply_word, check_int, check_monomial,
+                        mon_weight, sadd)
 
-# symbol -> (generator, field weight, parity, excluded index or None)
+# symbol -> (generator, excluded index or None); the field weight and
+# parity are the generator's
 ATOMS = {
-    "beta": (BETA, 1, 0, None),
-    "gamma": (GAMMA, 0, 0, None),
-    "gtilde": (GAMMA, 0, 0, -1),
-    "b": (B, 1, 1, None),
-    "c": (C, 0, 1, None),
+    "beta": (BETA, None),
+    "gamma": (GAMMA, None),
+    "gtilde": (GAMMA, -1),
+    "b": (B, None),
+    "c": (C, None),
 }
 
 
@@ -57,13 +62,13 @@ def pair(left, right):
 
 def expr_weight(expr) -> int:
     if isinstance(expr, str):
-        return ATOMS[expr][1]
+        return FIELD_WEIGHT[ATOMS[expr][0]]
     return expr_weight(expr[1]) + expr_weight(expr[2])
 
 
 def expr_parity(expr) -> int:
     if isinstance(expr, str):
-        return ATOMS[expr][2]
+        return PARITY[ATOMS[expr][0]]
     return expr_parity(expr[1]) ^ expr_parity(expr[2])
 
 
@@ -73,8 +78,8 @@ def mode_words(expr, n, bound):
     that is not an int raises TypeError; an expression that is not an
     ATOMS symbol or a pair of expressions raises ValueError.  The
     arguments are checked here, once; the recursion does not repeat it."""
-    _check_int(n, "mode indices")
-    _check_int(bound, "weight bounds")
+    check_int(n, "mode indices")
+    check_int(bound, "weight bounds")
     _check_expr(expr)
     return _words(expr, n, bound)
 
@@ -82,8 +87,8 @@ def mode_words(expr, n, bound):
 def _words(expr, n, bound):
     """mode_words on checked arguments."""
     if isinstance(expr, str):
-        gen, w, _, excl = ATOMS[expr]
-        if n == excl or (n >= 0 and n > bound + w - 1):
+        gen, excl = ATOMS[expr]
+        if n == excl or (n >= 0 and n > bound + FIELD_WEIGHT[gen] - 1):
             return ()
         return ((1, ((gen, n),)),)
     _, p, q = expr
@@ -129,12 +134,6 @@ def _check_expr(expr):
     else:
         raise ValueError("a field expression is a symbol or pair(left, right),"
                          " not %r" % (expr,))
-
-
-def _check_int(x, what):
-    """Raise TypeError unless x is an int."""
-    if not isinstance(x, int):
-        raise TypeError("%s are int, not %s" % (what, type(x).__name__))
 
 
 def _trie(terms):
@@ -199,7 +198,7 @@ class ModeOperator:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("ModeOperator coefficients are int or Fraction, not %s"
                                 % type(c).__name__)
-            _check_int(n, "ModeOperator mode indices")
+            check_int(n, "ModeOperator mode indices")
             _check_expr(expr)
         # bound -> trie of the words at that bound
         self._tries = Memo(lambda bound: _trie(self.materialize(bound)))

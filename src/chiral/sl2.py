@@ -14,9 +14,8 @@ They differ by gamma_(-1)-shifted lower terms:
     L(2) = Lplus(2) + 2 g Lplus(1) + g^2 Lplus(0)      (g = gamma_(-1))
 
 so the two joint kernels coincide and consist of gamma_(-1)-free states.
-On positive-sector monomials Lplus(1) is diagonal with eigenvalue
-(#gamma + #c) - (#beta + #b); the invariant space in weight k, charge l
-is the kernel of Lplus(2) on the monomials where that count vanishes.
+The invariant space in weight k, charge l is the kernel of Lplus(2) on
+the s = l block of the positive sector (see invariants).
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from collections import namedtuple
 from functools import cache
 from math import lcm
 
-from .basis import charges, enumerate_basis, enumerate_full, grades
-from .freefield import (FIELD_WEIGHT, GAMMA, Q_STATE, B, apply_mode, binomial,
+from .basis import (charges, enumerate_basis, enumerate_full, grades,
+                    mon_scount)
+from .freefield import (GAMMA, Q_STATE, B, apply_mode, binomial, check_int,
                         nth_product, sadd, sscale)
 from .linalg import Matrix, kernel_basis
 from .modeops import ModeOperator, pair
@@ -39,9 +39,7 @@ def _l_actor(i):
 
 def _check_index(i):
     """Raise TypeError unless i is an int, ValueError unless 0 <= i <= 2."""
-    if not isinstance(i, int):
-        raise TypeError("sl2 generator indices are int, not %s"
-                        % type(i).__name__)
+    check_int(i, "sl2 generator indices")
     if not 0 <= i <= 2:
         raise ValueError("sl2 has generators for i in {0, 1, 2}")
 
@@ -102,13 +100,6 @@ def verify_sl2(kmax, dmax):
     return relation, bracket
 
 
-def diagonal_monomials(mons):
-    """Monomials with #beta + #b == #gamma + #c, the Lplus(1) kernel: beta
-    and b have field weight 1, gamma and c field weight 0."""
-    return tuple(mon for mon in mons
-                 if 2 * sum(FIELD_WEIGHT[g] for g, _ in mon) == len(mon))
-
-
 def kernel_states(mons, images):
     """Kernel of the linear map mon -> images[mon] on span(mons), as
     states with int (when integral) or Fraction coefficients."""
@@ -131,15 +122,20 @@ InvariantSpace = namedtuple("InvariantSpace", "k l dim states")
 def invariants(k, l):
     """Basis of the invariant subspace in weight k, charge l.
 
-    The basis is the kernel of Lplus(2) on the diagonal monomials, and
-    every basis state must also be killed by L(0), L(1) and L(2) of the
-    state-product route, else ArithmeticError.  L(i) is linear, so the
-    check runs on each state's primitive integer multiple (the state
-    times the lcm of its coefficient denominators, primitive because the
-    state has a coefficient 1) and sees only int coefficients; the
-    returned states keep their int/Fraction coefficients.
+    Lplus(1) acts on a positive-sector monomial as multiplication by
+    l - s = (#gamma + #c) - (#beta + #b), so its kernel is the s = l
+    block, basis_block(k, l, l).  The basis is the kernel of Lplus(2)
+    on that block, and every basis state must also be killed by L(0),
+    L(1) and L(2) of the state-product route, else ArithmeticError.
+    L(i) is linear, so the check runs on each state's primitive integer
+    multiple (the state times the lcm of its coefficient denominators,
+    primitive because the state has a coefficient 1) and sees only int
+    coefficients; the returned states keep their int/Fraction
+    coefficients.
     """
-    block = diagonal_monomials(enumerate_basis(k, l))
+    # basis_block(k, l, l), read through enumerate_basis, the name
+    # perfbench/layertrace.py times in this module
+    block = tuple(m for m in enumerate_basis(k, l) if mon_scount(m) == l)
     if not block:
         return InvariantSpace(k, l, 0, ())
     images = [sl2_Lplus(2, {m: 1}) for m in block]

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from chiral import basis
 from chiral.basis import (basis_block, enumerate_basis, enumerate_full,
                           grades, mon_scount, split_by_s)
 from chiral.freefield import (BETA, GAMMA, B, C, mon_charge, mon_weight,
@@ -18,13 +17,17 @@ def test_small_blocks_exhaustive():
 
 
 def test_gradings_and_membership():
-    for k in range(5):
-        for l in range(-(k + 2), k + 3):
-            for mon in enumerate_basis(k, l):
-                assert mon_weight(mon) == k
-                assert mon_charge(mon) == l
-                assert (GAMMA, -1) not in mon
-                assert list(mon) == sorted(mon)
+    # every block through weight 12: no monomial holds gamma_(-1), so
+    # every invariant-kernel state, built on these, is gamma_(-1)-free
+    count = 0
+    for k, l in grades(12):
+        for mon in enumerate_basis(k, l):
+            assert mon_weight(mon) == k
+            assert mon_charge(mon) == l
+            assert (GAMMA, -1) not in mon
+            assert list(mon) == sorted(mon)
+            count += 1
+    assert count == 64346
 
 
 def test_no_duplicates_and_canonical_order():
@@ -91,10 +94,8 @@ def test_enumerate_full_layers():
 
 
 def test_enumerate_full_rejects_a_non_int_bound_with_a_cold_or_warm_cache():
-    # the cached answer to (1, 0, 1) is found under (1.0, 0, 1) and
-    # (1, 0, 1.0) too, so the answer to a float weight or degree bound
-    # must not depend on whether it is cached: both raise
-    basis._full.cache_clear()
+    # 1.0 == 1 and both hash alike, so a float weight or degree bound
+    # must raise whether or not the int block was asked for before
     for warm in (False, True):
         if warm:
             assert len(enumerate_full(1, 0, 1)) == 6

@@ -49,6 +49,18 @@ def test_rejects_negative_u_power():
         ChartFn({(-1, 0): 1})
 
 
+def test_rejects_a_non_int_degree():
+    # a float degree would print as an int power and reach the derivatives
+    for terms in ({(0, 1.5): 1}, {(2.0, 0): 1}, {(0, Fraction(1)): 1},
+                  {(-1.0, 0): 1}):
+        with pytest.raises(TypeError, match="degrees are int, not"):
+            ChartFn(terms)
+    with pytest.raises(TypeError, match="u-degrees are int, not float"):
+        ChartFn.u_pow(2.0)
+    with pytest.raises(TypeError, match="v-degrees are int, not float"):
+        ChartFn.v_pow(-1.0)
+
+
 def test_ring_operations():
     u = ChartFn.u_pow(1)
     v = ChartFn.v_pow(1)

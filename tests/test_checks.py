@@ -3,11 +3,12 @@ import sys
 from fractions import Fraction
 
 from chiral import freefield, geometry, sl2
+from chiral.basis import enumerate_basis, grades, mon_scount
 from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
                            translation_failures)
-from chiral.freefield import BETA, C, GAMMA, VACUUM_MON, _intern
+from chiral.freefield import BETA, C, GAMMA, VACUUM_MON, _intern, mon_str
 from chiral.modeops import ModeOperator, pair
 
 
@@ -158,14 +159,46 @@ def test_geometry_sweep_catches_a_wrong_connection(monkeypatch):
     # plant -v^-1 for the -2 v^-1 of the connection form: every seed
     # A (x) v^(2(l-s)) is then no longer dbar_prime-closed, and the sweep
     # must report each one it tries; this holds only while dbar_prime
-    # reads geometry._THETA, the metric data the sweep checks
+    # reads geometry._THETA, the metric data the sweep checks.  The
+    # curvature, taken from the covariant derivatives, is then half of
+    # l - s, wrong on every monomial with l != s
     monkeypatch.setattr(geometry, "_THETA", ChartFn.v_pow(-1, -1))
     fails = geometry_failures(kmax=2, case3_kmax=0)
-    assert len(fails) == 15
-    assert fails[0] == ("recursion failed on c(-1): "
-                        "seed must be dbar_prime-closed")
-    assert _digest(fails) == (
+    assert len(fails) == 40
+    curvature = [f for f in fails if f.startswith("curvature")]
+    assert curvature == _curvature_failures(lambda l, s, mon: l != s)
+    rest = [f for f in fails if not f.startswith("curvature")]
+    assert len(rest) == 15
+    assert rest[0] == ("recursion failed on c(-1): "
+                       "seed must be dbar_prime-closed")
+    assert _digest(rest) == (
         "439f927fa433c0fd02fbc0337b85afaba2657cffaa245969bc7eecdcaf61aec3")
+    assert _digest(fails) == (
+        "3b881df48dddca1886f06c141a35779fb33b979c0beec29c02da3143bcb5e98e")
+
+
+def test_geometry_sweep_catches_a_wrong_s_minus_l_count(monkeypatch):
+    # plant +1 for the -1 that c contributes to dbar_prime's s - l count:
+    # the curvature, taken from the covariant derivatives, is then wrong
+    # on exactly the monomials holding a c mode, while curvature_op
+    # still reads l - s off the grading
+    monkeypatch.setitem(geometry._S_MINUS_L, C, 1)
+    fails = geometry_failures()
+    assert len(fails) == 52
+    curvature = [f for f in fails if f.startswith("curvature")]
+    assert curvature == _curvature_failures(
+        lambda l, s, mon: any(g == C for g, _ in mon))
+    assert len(fails) - len(curvature) == 30
+    assert _digest(fails) == (
+        "19a8f13eac321fe3a7f6159656c3930b6c035711a07468ca92802edd459e1676")
+
+
+def _curvature_failures(wrong):
+    """The curvature failures of the weight <= 2 sweep, in sweep order,
+    on the monomials where wrong(l, s, mon) holds."""
+    return ["curvature != (l-s) id on %s" % mon_str(mon)
+            for k, l in grades(2) for mon in enumerate_basis(k, l)
+            if wrong(l, mon_scount(mon), mon)]
 
 
 def _digest(fails):

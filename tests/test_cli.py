@@ -46,6 +46,11 @@ HZERO_G2_K8_SHA256 = (
 HZERO_G3_K8_SHA256 = (
     "4ff50b4e40bafb9d08a4e543ac81d0662fc0fc4c422b1161eafbd919c8807da7")
 
+# sha256 of the `invariants --weight 8 --charge 0 --basis` stdout: dim 25,
+# with Fraction coefficients
+INVARIANTS_8_0_BASIS_SHA256 = (
+    "ee66d155dbe78da3d3727ca096da475f85cf32bd98c1b69b9f30e6b5b99ceb8b")
+
 HZERO_G2_K1_CSV = """\
 k,l,dim
 0,0,1
@@ -207,6 +212,15 @@ def test_hzero_weight_8_stdout_fixtures(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_invariants_weight_8_basis_stdout_fixture(capsys):
+    rc, out = run(["invariants", "--weight", "8", "--charge", "0", "--basis"],
+                  capsys)
+    assert rc == 0
+    assert out.startswith("dim 25\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        INVARIANTS_8_0_BASIS_SHA256)
+
+
 def _diagonal_counts(kmax):
     """{(k, l): c(k, l)}, the number of diagonal monomials (#beta + #b =
     #gamma + #c) of weight k and charge l, read off the generating
@@ -237,14 +251,13 @@ def _diagonal_counts(kmax):
 
 
 def test_character_from_diagonal_counts():
-    # an elimination-free oracle: for k >= 1 the invariant dims d_l of
+    # the s = l blocks counted against the generating function, then an
+    # elimination-free oracle: for k >= 1 the invariant dims d_l of
     # weight k satisfy d_l - d_(l-2) = c(k, l) - c(k, 1-l), with d_l = 0
     # below the lowest charge; weight 0 holds the vacuum alone
-    from chiral.basis import charges, enumerate_basis
-    from chiral.sl2 import diagonal_monomials
+    from chiral.basis import basis_block, charges, grades
     counts = _diagonal_counts(12)
-    enumerated = {(k, l): len(diagonal_monomials(enumerate_basis(k, l)))
-                  for k in range(13) for l in charges(k)}
+    enumerated = {(k, l): len(basis_block(k, l, l)) for k, l in grades(12)}
     assert {key: c for key, c in enumerated.items() if c} == counts
     for kmax, digest in ((8, CHARACTER_8_SHA256), (10, CHARACTER_10_SHA256)):
         entries = [{"k": 0, "l": 0, "dim": 1}]

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from chiral import freefield, linalg, sl2
-from chiral.basis import enumerate_basis, enumerate_full
-from chiral.freefield import (BETA, GAMMA, B, C, G_STATE, L_STATE, nth_product,
-                              sadd, sscale, state_str, translate)
+from chiral.basis import basis_block, enumerate_basis, grades, mon_scount
+from chiral.freefield import (BETA, GAMMA, B, C, G_STATE, L_STATE, mon_charge,
+                              sscale, state_str, translate)
 from chiral.geometry import case3_kernel
-from chiral.sl2 import (character, charge_range, diagonal_monomials,
-                        gamma_shift, invariants, sl2_L, sl2_Lplus, verify_sl2)
+from chiral.sl2 import (character, charge_range, gamma_shift, invariants,
+                        sl2_L, sl2_Lplus, verify_sl2)
 
 # dual-oracle table: dimensions computed independently through the
 # state-product operators and the mode-word operators, frozen here
@@ -22,13 +22,14 @@ CHARACTER_4 = {
 
 
 def test_lplus_one_is_diagonal_counting():
-    # eigenvalue (#gamma + #c) - (#beta + #b) on gamma_(-1)-free monomials
-    for k in range(4):
-        for l in range(-(k + 2), k + 3):
-            for mon in enumerate_basis(k, l):
-                up = sum(1 for g, _ in mon if g in (GAMMA, C))
-                down = sum(1 for g, _ in mon if g in (BETA, B))
-                assert sl2_Lplus(1, {mon: 1}) == sscale({mon: 1}, up - down)
+    # eigenvalue l - s on every gamma_(-1)-free monomial through weight 6
+    count = 0
+    for k, l in grades(6):
+        for mon in enumerate_basis(k, l):
+            want = mon_charge(mon) - mon_scount(mon)
+            assert sl2_Lplus(1, {mon: 1}) == sscale({mon: 1}, want)
+            count += 1
+    assert count == 1290
 
 
 def test_lplus_zero_is_beta_zero_mode():
@@ -110,12 +111,13 @@ def test_kernel_vectors_are_gamma_free():
 
 
 def test_diagonal_filter():
-    mons = diagonal_monomials(enumerate_basis(2, 0))
-    for mon in mons:
-        nb = sum(1 for g, _ in mon if g in (BETA, B))
-        nc = sum(1 for g, _ in mon if g in (GAMMA, C))
-        assert nb == nc
-    assert set(mons) <= set(enumerate_basis(2, 0))
+    # the s = l block, where invariants takes its kernel, holds exactly
+    # the monomials with #beta + #b == #gamma + #c, in basis order
+    for k, l in grades(12):
+        want = tuple(mon for mon in enumerate_basis(k, l)
+                     if sum(1 for g, _ in mon if g in (BETA, B))
+                     == sum(1 for g, _ in mon if g in (GAMMA, C)))
+        assert basis_block(k, l, l) == want
 
 
 def test_empty_blocks():
