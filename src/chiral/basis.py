@@ -51,18 +51,25 @@ def _walk(k: int):
 
 def enumerate_basis(k: int, l: int):
     """All positive-sector monomials of weight k and charge l, in
-    canonical monomial order."""
+    canonical monomial order.  A k or l that is not an int raises
+    TypeError."""
+    check_int(k, "weights")
+    check_int(l, "charges")
     return _walk(k).get(l, ())
 
 
 def charges(k: int):
-    """The charges of the nonempty weight-k blocks, in increasing order."""
+    """The charges of the nonempty weight-k blocks, in increasing order.
+    A k that is not an int raises TypeError."""
+    check_int(k, "weights")
     return sorted(_walk(k))
 
 
 def grades(kmax: int):
     """The (k, l) of every nonempty block of weight k <= kmax: weights
-    in increasing order, each with its charges in increasing order."""
+    in increasing order, each with its charges in increasing order.  A
+    kmax that is not an int raises TypeError."""
+    check_int(kmax, "weights")
     for k in range(kmax + 1):
         for l in charges(k):
             yield k, l
@@ -78,9 +85,8 @@ def split_by_s(mons):
 
 def enumerate_full(k: int, l: int, dmax: int):
     """Positive-sector basis of weight k, charge l, extended by powers
-    gamma_(-1)^d for 0 <= d <= dmax, in canonical monomial order.  A k
-    or dmax that is not an int raises TypeError."""
-    check_int(k, "weights")
+    gamma_(-1)^d for 0 <= d <= dmax, in canonical monomial order.  A k,
+    l or dmax that is not an int raises TypeError."""
     check_int(dmax, "gamma_(-1)-degree bounds")
     out = []
     for mon in enumerate_basis(k, l):

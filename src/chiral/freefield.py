@@ -41,8 +41,9 @@ monomials are interned: each distinct monomial gets a small int id on
 first sight.  The memo _prod_rows holds one row per operator a_(n),
 keyed by (id of a, n); a row maps the id of b to a_(n) b as a tuple of
 (id, int) pairs with distinct ids and nonzero coefficients.  The memo,
-its rows and the insertion rows of the creation modes are tables that
-fill their own misses (Memo, _ProdRow): _prod_rows[ia, n] makes the row
+its rows, the insertion rows of the creation modes and the contraction
+rows of the annihilation modes are the engine's three tables, and each
+fills its own misses (Memo, _ProdRow): _prod_rows[ia, n] makes the row
 of a_(n) on first use, and row[ib] computes a missing product and
 keeps it, unless the product lies below weight 0, where it is zero and
 answered without being stored.  So a sweep that applies one operator
@@ -59,7 +60,7 @@ sweep.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from math import comb, factorial
 
 BETA, GAMMA, B, C = 0, 1, 2, 3
@@ -290,8 +291,7 @@ def _insert(gen, idx, i):
 _insert_rows = Memo(lambda mode: Memo(partial(_insert, *mode)))
 
 
-@cache
-def _contractions(gen, i):
+def _contract(gen, i):
     """Every nonzero x_(j) |i> with j >= 0, as (j, id, coeff) triples.
     x_(j) only acts by contracting a mode y_(-1-j) of the monomial."""
     mon = _mons[i]
@@ -299,6 +299,10 @@ def _contractions(gen, i):
     js = sorted({-1 - idx for g, idx in mon if g == partner})
     return tuple((j, _intern(m), c) for j in js
                  for m, c in _apply_mode_mono(gen, j, mon).items())
+
+
+# gen -> the contraction row of its annihilation modes, {id: _contract(gen, id)}
+_contractions = Memo(lambda gen: Memo(partial(_contract, gen)))
 
 
 def _reach(r, b):
@@ -374,7 +378,7 @@ class _ProdRow(dict):
                          else ((k2, sign * comb(k - n - 1, k)),))
             else:
                 c = -comb(n, k) if k & 1 else comb(n, k)
-                terms = [(k2, c * c2) for j, k2, c2 in _contractions(gu, ib)
+                terms = [(k2, c * c2) for j, k2, c2 in _contractions[gu][ib]
                          if j == mode]
         else:
             gu, m, rest = head
@@ -396,7 +400,7 @@ class _ProdRow(dict):
                             out[k2] = get(k2, 0) + sign * cj * c
             # second sum: -(-1)^(m+|u||r|) r_(m+n-j) (u_(j) b)
             sgn = 1 if (m + PARITY[gu] * _parities[rest]) & 1 else -1
-            for j, k, c in _contractions(gu, ib):
+            for j, k, c in _contractions[gu][ib]:
                 inner = rows[rest, m + n - j][k]
                 if inner:
                     cj = sgn * comb(j - m - 1, j) * c

@@ -24,10 +24,13 @@ positive-sector fiber monomials and f, g chart functions.  The operators:
   recomputes them.
 
 The public FormSection(...) checks that every coefficient is a ChartFn
-and drops the zeros.  The sections this module builds itself (sums,
-scalings, dbar_prime, dbar_star and the f1/f2 tail) skip that check:
-each drops the zeros it makes, a sum that cancels or a derivative of a
-constant, and keeps only nonzero ChartFns.
+and drops the zeros.  Every section this module builds from its own
+values (sums, scalings, the covariant derivatives, dbar_star, the f1/f2
+tail, curvature_op, the zero of chain_residuals and the case-3 states)
+skips that check through _section: each drops the zeros it makes, a
+sum that cancels or a derivative of a constant, and keeps only nonzero
+ChartFns.  Only seed_section, whose g comes from the caller, builds its
+section through the check.
 
 The total differential on a curve is dbar_prime + f1 + f2, and a
 dbar_prime-closed seed in a block with l - s > 0 extends to a closed
@@ -170,8 +173,8 @@ def dbar_prime(sec: FormSection) -> FormSection:
 def nabla_gamma(sec: FormSection) -> FormSection:
     """Holomorphic covariant derivative; the frame is flat in this
     direction, so it is d/dgamma on coefficients."""
-    return FormSection({m: f.d_gamma() for m, f in sec.deg0.items()},
-                       {m: f.d_gamma() for m, f in sec.deg1.items()})
+    return _section(*({m: g for m, f in part.items() if (g := f.d_gamma())}
+                      for part in (sec.deg0, sec.deg1)))
 
 
 def dbar_star(sec: FormSection) -> FormSection:
@@ -250,7 +253,7 @@ def curvature_op(sec: FormSection) -> FormSection:
     multiplication by l - s."""
     grades = sec.gradings()
     if not grades:
-        return FormSection()
+        return _section({}, {})
     if len(grades) > 1:
         raise ValueError("curvature needs a homogeneous section")
     (_, l, s), = grades
@@ -306,7 +309,7 @@ def chain_residuals(chain):
     chain raises ValueError."""
     if not chain:
         raise ValueError("chain_residuals needs a nonempty chain")
-    zero = FormSection()
+    zero = _section({}, {})
     padded = list(chain) + [zero, zero]
     out = [dbar_prime(chain[0])]
     for t in range(1, len(chain) + 2):
@@ -330,7 +333,7 @@ def case3_kernel(k, s):
         raise ArithmeticError(
             "fiber-operator kernel disagrees with sl2 kernel at (%d, %d)" % (k, s))
     for st in states:
-        sec = FormSection(deg0={m: ChartFn.const(c) for m, c in st.items()})
+        sec = _section({m: ChartFn.const(c) for m, c in st.items()}, {})
         if f2(sec) or dbar_prime(sec) or dbar_total(sec):
             raise ArithmeticError("case-3 state is not closed")
     return states

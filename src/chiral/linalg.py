@@ -22,7 +22,8 @@ Kernel bases are computed modulo the fixed primes `PRIMES` (the eight
 largest primes <= 2^61 - 1) and lifted back to the rationals
 (multimodular echelon forms, Stein, *Modular Forms*, ch. 7):
 
-1. each row is scaled by the lcm of its denominators to integers;
+1. each row is scaled by the lcm of its denominators to integers
+   (integer_multiple);
 2. for each prime p in turn, the canonical kernel is taken mod p; a
    prime whose free columns are worse than the best seen so far (more
    of them, i.e. a lower rank, or as many with an earlier one where
@@ -121,16 +122,19 @@ def _vector(ncols, entries):
     return vec
 
 
+def integer_multiple(vec):
+    """vec ({key: int or Fraction}) times the lcm of its entries'
+    denominators, as {key: int}.  The one integer rescaling of the
+    package: kernel_basis scales each row with it, chiral.sl2 each
+    invariant state."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
+
+
 def _integer_rows(m: Matrix):
     """The nonzero rows of m, each scaled by the lcm of its denominators,
     as {col: int}."""
-    out = []
-    for row in m.row_lists():
-        if row:
-            den = lcm(*(v.denominator for v in row.values()))
-            out.append({c: v.numerator * (den // v.denominator)
-                        for c, v in row.items()})
-    return out
+    return [integer_multiple(row) for row in m.row_lists() if row]
 
 
 def _modular_kernel(int_rows, ncols):

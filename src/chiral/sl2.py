@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from math import lcm
 
 from .basis import (charges, enumerate_basis, enumerate_full, grades,
                     mon_scount)
 from .freefield import (GAMMA, Q_STATE, B, apply_mode, binomial, check_int,
                         nth_product, sadd, sscale)
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, integer_multiple, kernel_basis
 from .modeops import ModeOperator, pair
 
 @cache
@@ -128,10 +127,9 @@ def invariants(k, l):
     on that block, and every basis state must also be killed by L(0),
     L(1) and L(2) of the state-product route, else ArithmeticError.
     L(i) is linear, so the check runs on each state's primitive integer
-    multiple (the state times the lcm of its coefficient denominators,
-    primitive because the state has a coefficient 1) and sees only int
-    coefficients; the returned states keep their int/Fraction
-    coefficients.
+    multiple (linalg.integer_multiple, primitive because the state has a
+    coefficient 1) and sees only int coefficients; the returned states
+    keep their int/Fraction coefficients.
     """
     # basis_block(k, l, l), read through enumerate_basis, the name
     # perfbench/layertrace.py times in this module
@@ -141,9 +139,7 @@ def invariants(k, l):
     images = [sl2_Lplus(2, {m: 1}) for m in block]
     states = kernel_states(block, images)
     for st in states:
-        den = lcm(*(c.denominator for c in st.values()))
-        scaled = {mon: c.numerator * (den // c.denominator)
-                  for mon, c in st.items()}
+        scaled = integer_multiple(st)
         for i in range(3):
             if sl2_L(i, scaled):
                 raise ArithmeticError(

@@ -6,11 +6,12 @@ from chiral import freefield
 @pytest.fixture
 def empty_memo(monkeypatch):
     """Run the test on an empty product memo: empty tables of the same
-    kind stand in for freefield's product rows and insertion rows until
-    the test ends.  The fixture's value, called, empties them again."""
+    kind stand in for freefield's three tables, the product rows, the
+    insertion rows and the contraction rows, until the test ends.  The
+    fixture's value, called, empties them again."""
 
     def empty():
-        for name in ("_prod_rows", "_insert_rows"):
+        for name in ("_prod_rows", "_insert_rows", "_contractions"):
             table = getattr(freefield, name)
             monkeypatch.setattr(freefield, name, freefield.Memo(table.fill))
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from chiral.basis import (basis_block, enumerate_basis, enumerate_full,
-                          grades, mon_scount, split_by_s)
+from chiral import case3_kernel, character, invariants
+from chiral.basis import (basis_block, charges, enumerate_basis,
+                          enumerate_full, grades, mon_scount, split_by_s)
 from chiral.freefield import (BETA, GAMMA, B, C, mon_charge, mon_weight,
                               VACUUM_MON)
 
@@ -102,6 +103,26 @@ def test_enumerate_full_rejects_a_non_int_bound_with_a_cold_or_warm_cache():
         for args in ((1.0, 0, 1), (Fraction(1), 0, 1), (1, 0, 1.0)):
             with pytest.raises(TypeError, match="are int, not"):
                 enumerate_full(*args)
+
+
+def test_weights_and_charges_are_int_wherever_they_enter_the_basis():
+    # block (2, 0) is warm, and 2.0 == 2 hashes alike, so only the check
+    # keeps a float weight or charge from reading the int block
+    assert len(enumerate_basis(2, 0)) == 9
+    rejected = {
+        "weights": (lambda: enumerate_basis(2.0, 0), lambda: charges(2.0),
+                    lambda: list(grades(2.0)), lambda: character(2.0),
+                    lambda: invariants(2.0, 0),
+                    lambda: enumerate_full(2.0, 0, 1)),
+        "charges": (lambda: enumerate_basis(2, 0.0),
+                    lambda: basis_block(2, 0.0, 0),
+                    lambda: enumerate_full(2, 0.0, 1),
+                    lambda: invariants(2, 0.0), lambda: case3_kernel(2, 0.0)),
+    }
+    for what, calls in rejected.items():
+        for call in calls:
+            with pytest.raises(TypeError, match="%s are int, not float" % what):
+                call()
 
 
 def test_scount():

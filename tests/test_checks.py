@@ -103,7 +103,6 @@ def test_memo_rows_hold_what_a_cold_memo_computes(empty_memo):
               for ib, prod in row.items()]
     assert len(stored) > 1000
     empty_memo()
-    freefield._contractions.cache_clear()
     for ia, n, ib, prod in stored:
         assert freefield._prod_mono(ia, n, ib) == prod, (ia, n, ib)
 

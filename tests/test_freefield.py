@@ -360,6 +360,91 @@ def test_commutator_formula_on_seeded_triples_above_the_sweep():
     assert nonzero >= 500
 
 
+def _zero_from(am, bm):
+    """A t from which on a_(t) b = 0 for the monomials a and b: it lies
+    below weight 0 once t >= weight(a) + weight(b), and Wick's theorem
+    makes it zero once t >= _reach(a, b)."""
+    return min(mon_weight(am) + mon_weight(bm), _reach(am, bm))
+
+
+def _borcherds_failures(am, bm, xm):
+    """The (m, n, k) in [-2, 2]^3 at which the Borcherds identity (Kac,
+    Vertex Algebras for Beginners, 4.8)
+
+        sum_j C(m, j) (a_(n+j) b)_(m+k-j) x
+            = sum_j (-1)^j C(n, j) (a_(m+n-j)(b_(k+j) x)
+                                    - (-1)^n p b_(n+k-j)(a_(m+j) x)),
+
+    p = (-1)^{|a||b|}, fails on the monomials a, b, x, through
+    nth_product alone; and the number of (m, n, k) whose left side is
+    nonzero.  Each sum stops where its inner product, a_(n+j) b, b_(k+j) x
+    or a_(m+j) x, is zero by _zero_from."""
+    a, b, x = {am: 1}, {bm: 1}, {xm: 1}
+    p = -1 if mon_parity(am) and mon_parity(bm) else 1
+    zab, zbx, zax = _zero_from(am, bm), _zero_from(bm, xm), _zero_from(am, xm)
+    span = range(-2, 3)
+    fails, nonzero = [], 0
+    for m in span:
+        for n in span:
+            for k in span:
+                lhs = {}
+                for j in range(zab - n):
+                    sadd(lhs, nth_product(nth_product(a, n + j, b), m + k - j, x),
+                         binomial(m, j))
+                rhs = {}
+                for j in range(zbx - k):
+                    sadd(rhs, nth_product(a, m + n - j, nth_product(b, k + j, x)),
+                         (-1) ** j * binomial(n, j))
+                for j in range(zax - m):
+                    sadd(rhs, nth_product(b, n + k - j, nth_product(a, m + j, x)),
+                         -p * (-1) ** (j + n) * binomial(n, j))
+                if lhs != rhs:
+                    fails.append((m, n, k))
+                nonzero += bool(lhs)
+    return fails, nonzero
+
+
+def test_borcherds_identity_on_seeded_triples_above_the_sweep(empty_memo):
+    # the identity is the commutator formula at n = 0 and the iterate
+    # formula at m = 0, and mixes them elsewhere; on 20 random triples
+    # with weight(a) + weight(b) in 5..6 and weight(x) <= 2, from a fresh
+    # memo, so that its products do not stay: 2,500 identities
+    rng = random.Random(20261020)
+    fam, xs = _family(6, 1), _family(2, 1)
+    triples = []
+    while len(triples) < 20:
+        am, bm = rng.choice(fam), rng.choice(fam)
+        if 5 <= mon_weight(am) + mon_weight(bm) <= 6:
+            triples.append((am, bm, rng.choice(xs)))
+    nonzero = 0
+    for am, bm, xm in triples:
+        fails, count = _borcherds_failures(am, bm, xm)
+        assert fails == [], (am, bm, xm)
+        nonzero += count
+    assert nonzero >= 1000
+
+
+def test_borcherds_identity_catches_a_wrong_product(empty_memo):
+    # double one stored product a_(n)b with weight(a) + weight(b) = 5 and
+    # n in 0..2 in a fresh memo; every product computed from it after
+    # the plant inherits the fault.  750 identities, six x
+    rng = random.Random(20261020)
+    fam, xs = _family(5, 1), _family(2, 1)
+    while True:
+        am, bm, n = rng.choice(fam), rng.choice(fam), rng.randrange(3)
+        if (mon_weight(am) + mon_weight(bm) == 5
+                and nth_product({am: 1}, n, {bm: 1})):
+            break
+    empty_memo()
+    row, ib = freefield._prod_row(_intern(am), n), _intern(bm)
+    row[ib] = tuple((k, 2 * c) for k, c in row[ib])
+    assert (mon_str(am), n, mon_str(bm)) == (
+        "beta(-1) gamma(-4) c(-1)", 2, "beta(-1) c(-1)")
+    fails = [(xm,) + mnk for xm in rng.sample(xs, 6)
+             for mnk in _borcherds_failures(am, bm, xm)[0]]
+    assert len(fails) == 309
+
+
 # the defining brackets as OPE contractions x(z) y(w) ~ delta / (z - w),
 # keyed by (x, y) with x the field on the left
 _OPE = {(BETA, GAMMA): 1, (GAMMA, BETA): -1, (B, C): 1, (C, B): 1}

@@ -1,5 +1,5 @@
-"""Every name a module imports is read by that module, unless its line
-says `# noqa: F401` (a deliberate re-export), and every top-level
+"""Every name a module or test file imports is read by that file, unless
+its line says `# noqa: F401` (a deliberate re-export), and every top-level
 function or class of the package is read by some package module or
 exported by `chiral/__init__`, so no test-only code lives in `src`."""
 
@@ -50,11 +50,13 @@ def unread_definitions(sources, exported):
 
 
 def test_every_import_is_read():
+    # the package's modules and the test files
     modules = sorted(p for p in Path(chiral.__file__).parent.glob("*.py")
                      if p.name != "__init__.py")
-    assert len(modules) >= 9
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(modules) >= 9 and len(tests) >= 13
     found = ["%s:%d: %s" % (path.name, line, name)
-             for path in modules
+             for path in modules + tests
              for line, name in unused_imports(path.read_text())]
     assert found == []
 

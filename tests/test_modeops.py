@@ -7,8 +7,8 @@ import pytest
 from chiral import modeops
 from chiral.basis import charges, enumerate_basis, enumerate_full
 from chiral.freefield import (BETA, GAMMA, PARTNER, B, C, VACUUM, apply_mode,
-                              apply_word, mon_charge, mon_str, mon_weight,
-                              nth_product, sadd, sscale)
+                              apply_word, mon_str, mon_weight, nth_product,
+                              sadd, sscale)
 from chiral.modeops import ModeOperator, expr_parity, expr_weight, mode_words, pair
 
 
