@@ -19,11 +19,17 @@ have field weight 1 and gamma, c have field weight 0; charge counts
 mode sum below finite.
 
 The action of one mode on a monomial (_apply_mode_mono) is the one
-place a mode is inserted with its Koszul sign; apply_mode, apply_word,
-normalize and translate are built on it and keep no memo.  Outside the
-product engine's own tables on ids, the one memo of mode action is the
-per-monomial image memo of each chiral.modeops.ModeOperator.  sadd is
-the one sparse add; it also does chiral.linalg's row updates over Q.
+place a mode is inserted with its Koszul sign.  A mode sends a normally
+ordered monomial to zero or to one signed monomial: a creation mode is
+inserted (or kills a monomial that holds it, if odd), and an
+annihilation mode removes one copy of its partner mode, so the action
+returns that single term, or None, and finds it by binary search on the
+sorted tuple.  apply_mode, apply_word, normalize and translate are built
+on it and keep no memo; apply_word sends each monomial of a state
+through the whole word on its own.  Outside the product engine's own
+tables on ids, the one memo of mode action is the per-monomial image
+memo of each chiral.modeops.ModeOperator.  sadd is the one sparse add;
+it also does chiral.linalg's row updates over Q.
 
 The n-th product of two monomials is computed by the iterate formula
 (see _ProdRow.__missing__) and memoised.  Two exact shortcuts keep it
@@ -60,6 +66,7 @@ sweep.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import partial
 from math import comb, factorial
 
@@ -131,53 +138,59 @@ def normalize(modes, coeff=1):
 
 
 def _apply_mode_mono(gen, idx, mon):
-    """x_(idx) applied to a single monomial, as a {monomial: int} dict."""
+    """x_(idx) applied to one normally ordered monomial: the single term
+    (monomial, int) it gives, or None if it gives zero.
+
+    Both cases are found by binary search on the sorted tuple.  A
+    creation mode is inserted at bisect_left(mon, (gen, idx)); an odd one
+    that is already there gives zero.  An annihilation mode acts only by
+    contracting its partner mode PARTNER[gen]_(-1-idx), which it removes
+    once, with the bracket constant times the partner's multiplicity.
+    Odd modes sort after beta and gamma, so an odd mode moved to or from
+    position p passes the p - bisect_left(mon, (B,)) odd modes before
+    it, which gives the Koszul sign."""
+    odd = PARITY[gen]
     if idx <= -1:
         key = (gen, idx)
-        pos = 0
-        crossings = 0
-        for k in mon:
-            if k < key:
-                pos += 1
-                crossings += PARITY[k[0]]
-            else:
-                break
-        if PARITY[gen]:
-            if pos < len(mon) and mon[pos] == key:
-                return {}
-            sign = -1 if crossings & 1 else 1
-        else:
-            sign = 1
-        return {mon[:pos] + ((gen, idx),) + mon[pos:]: sign}
-    # annihilation: walk right, contracting as we go
-    out = {}
-    sign = 1
-    odd = PARITY[gen]
-    for p, (g2, i2) in enumerate(mon):
-        delta = _CONTRACT.get((gen, g2))
-        if delta is not None and idx + i2 + 1 == 0:
-            rest = mon[:p] + mon[p + 1:]
-            out[rest] = out.get(rest, 0) + sign * delta
-        if odd and PARITY[g2]:
-            sign = -sign
-    return {m: c for m, c in out.items() if c}
+        pos = bisect_left(mon, key)
+        if odd and pos < len(mon) and mon[pos] == key:
+            return None
+        out, coeff = mon[:pos] + (key,) + mon[pos:], 1
+    else:
+        key = (PARTNER[gen], -1 - idx)
+        pos = bisect_left(mon, key)
+        if pos == len(mon) or mon[pos] != key:
+            return None
+        out, coeff = mon[:pos] + mon[pos + 1:], _CONTRACT[gen, key[0]]
+        if not odd:
+            coeff *= bisect_right(mon, key, pos) - pos
+    if odd and (pos - bisect_left(mon, (B,))) & 1:
+        coeff = -coeff
+    return out, coeff
 
 
 def apply_mode(gen, idx, state):
-    """Action of the generator mode x_(idx) on a state."""
-    out = {}
-    for mon, coeff in state.items():
-        sadd(out, _apply_mode_mono(gen, idx, mon), coeff)
-    return out
+    """Action of the generator mode x_(idx) on a state of normally
+    ordered monomials; normalize is the entry for raw mode sequences."""
+    return apply_word(((gen, idx),), state)
 
 
 def apply_word(word, state):
-    """Apply a tuple of (gen, idx) modes right to left."""
-    for gen, idx in reversed(word):
-        if not state:
-            return {}
-        state = apply_mode(gen, idx, state)
-    return state
+    """Apply a tuple of (gen, idx) modes right to left to a state of
+    normally ordered monomials; normalize is the entry for raw mode
+    sequences.  Each monomial goes through the whole word on its own,
+    as every mode sends it to zero or to one signed monomial."""
+    out = {}
+    for mon, coeff in state.items():
+        for gen, idx in reversed(word):
+            term = _apply_mode_mono(gen, idx, mon)
+            if term is None:
+                break
+            mon, sign = term
+            coeff *= sign
+        else:
+            sadd(out, {mon: coeff})
+    return out
 
 
 def binomial(m, j):
@@ -244,17 +257,20 @@ def _intern(mon):
     interning its tail checks the rest."""
     i = _ids.get(mon)
     if i is None:
-        head = None
+        head, weight, parity = None, 0, 0
         if mon:
             check_monomial(mon, 2)
             gen, idx = mon[0]
-            head = (gen, idx, _intern(mon[1:]))
+            tail = _intern(mon[1:])
+            head = (gen, idx, tail)
+            weight = _weights[tail] + FIELD_WEIGHT[gen] - idx - 1
+            parity = _parities[tail] ^ PARITY[gen]
         i = len(_mons)
         _ids[mon] = i
         _mons.append(mon)
         _heads.append(head)
-        _weights.append(mon_weight(mon))
-        _parities.append(mon_parity(mon))
+        _weights.append(weight)
+        _parities.append(parity)
     return i
 
 
@@ -281,10 +297,11 @@ class Memo(dict):
 def _insert(gen, idx, i):
     """x_(idx) |i> for a creation mode x_(idx), as (sign, id), or
     (None, None) if an odd mode repeats."""
-    hit = None, None
-    for mon, sign in _apply_mode_mono(gen, idx, _mons[i]).items():
-        hit = sign, _intern(mon)
-    return hit
+    term = _apply_mode_mono(gen, idx, _mons[i])
+    if term is None:
+        return None, None
+    mon, sign = term
+    return sign, _intern(mon)
 
 
 # (gen, idx) -> the insertion row of x_(idx), {id: _insert(gen, idx, id)}
@@ -298,7 +315,7 @@ def _contract(gen, i):
     partner = PARTNER[gen]
     js = sorted({-1 - idx for g, idx in mon if g == partner})
     return tuple((j, _intern(m), c) for j in js
-                 for m, c in _apply_mode_mono(gen, j, mon).items())
+                 for m, c in (_apply_mode_mono(gen, j, mon),))
 
 
 # gen -> the contraction row of its annihilation modes, {id: _contract(gen, id)}
@@ -308,16 +325,16 @@ _contractions = Memo(lambda gen: Memo(partial(_contract, gen)))
 def _reach(r, b):
     """The contraction-degree bound of the monomials r and b: the sum,
     over the modes u_(m) of r whose partner occurs in b, of -m - p - 1
-    for that partner's lowest mode p in b (its first, as b is sorted).
-    No set of contractions between r and b has a larger total pole
-    order, so r_(t) b = 0 for every t >= 0 with t >= _reach(r, b)."""
+    for that partner's lowest mode p in b (its first, as b is sorted,
+    found by one bisect_left).  No set of contractions between r and b
+    has a larger total pole order, so r_(t) b = 0 for every t >= 0 with
+    t >= _reach(r, b)."""
     reach = 0
     for g, m in r:
         partner = PARTNER[g]
-        for g2, p in b:
-            if g2 == partner:
-                reach -= m + p + 1
-                break
+        pos = bisect_left(b, (partner,))
+        if pos < len(b) and b[pos][0] == partner:
+            reach -= m + b[pos][1] + 1
     return reach
 
 
@@ -437,10 +454,10 @@ def nth_product(a, n, b):
     get = out.get
     bids = [(_intern(bmon), cb) for bmon, cb in b.items()]
     for amon, ca in a.items():
-        ia = _intern(amon)
+        row = _prod_rows[_intern(amon), n]
         for ib, cb in bids:
             cab = ca * cb
-            for k, c in _prod_mono(ia, n, ib):
+            for k, c in row[ib]:
                 out[k] = get(k, 0) + cab * c
     return {_mons[k]: c for k, c in out.items() if c}
 
@@ -465,7 +482,10 @@ def translate(state):
                 if odd_before & 1:
                     c = -c
                 odd_before += 1
-            sadd(out, _apply_mode_mono(g, n - 1, mon[:p] + mon[p + 1:]), c)
+            term = _apply_mode_mono(g, n - 1, mon[:p] + mon[p + 1:])
+            if term is not None:
+                shifted, sign = term
+                sadd(out, {shifted: sign}, c)
     return out
 
 

@@ -19,10 +19,14 @@ A ModeOperator does each piece of work once.  Per weight bound it
 compiles its terms a single time into a trie of their words, keyed by
 the modes in the order they act, rightmost first: identical words merge
 with their coefficients added, and a prefix the words share is applied
-once.  The walk skips a branch whole when its mode kills the state, and
-it does not even apply an annihilation mode x_(n), n >= 0, unless some
-monomial of the state holds the partner mode PARTNER[x]_(-1-n): x_(n)
-acts only by contracting that mode (freefield._apply_mode_mono).
+once.  A chain of trie nodes with one child each and no coefficient of
+their own is merged into one node that holds the chain's word.  Every
+mode sends a monomial to zero or to one monomial, so the walk carries
+one (monomial, coefficient) pair down the trie.  It skips a branch
+whole when its word kills the monomial, and it does not even apply a
+word whose first mode is an annihilation mode x_(n), n >= 0, unless the
+monomial holds the partner mode PARTNER[x]_(-1-n): x_(n) acts only by
+contracting that mode (freefield._apply_mode_mono).
 
 The operator memoises the image of every monomial it meets, computed
 with the monomial's own weight as the bound.  That is exact: the words
@@ -34,7 +38,7 @@ which compute and keep an entry the first time it is read.
 
 This route shares only the elementary mode action with the state-product
 engine; products of states are never used here.  Every mode action goes
-through freefield.apply_word, one mode at a time.
+through freefield.apply_word, one call per merged trie word.
 """
 
 from __future__ import annotations
@@ -138,12 +142,14 @@ def _check_expr(expr):
 
 def _trie(terms):
     """The words of (coefficient, word) terms as a trie: a tuple of nodes
-    (mode, partner, coefficient, children), where mode acts next,
-    partner is the mode an annihilation mode must find in the state to
-    contract (None for a creation mode), coefficient is the summed
-    coefficient of the words that end at the node, and children is a
-    tuple of nodes, or None at a leaf.  Nodes that contribute nothing
-    are dropped."""
+    (word, partner, coefficient, children), where word is the run of
+    modes that acts next, as a word applied right to left, partner is
+    the mode its first mode must find in the monomial if that is an
+    annihilation mode (None for a creation mode), coefficient is the
+    summed coefficient of the words that end at the node, and children
+    is a tuple of nodes, or None at a leaf.  Nodes that contribute
+    nothing are dropped, and a chain of nodes with one child each and no
+    coefficient of their own is merged into one node."""
     root = {}
     for coeff, word in terms:
         level = root
@@ -157,25 +163,31 @@ def _freeze(level):
     nodes = []
     for mode, (coeff, children) in level.items():
         children = _freeze(children) or None
+        word = (mode,)
+        if not coeff and children is not None and len(children) == 1:
+            # the single child's word acts after mode, so it goes left
+            (child_word, _, coeff, children), = children
+            word = child_word + word
         if coeff or children:
             gen, n = mode
             partner = (PARTNER[gen], -1 - n) if n >= 0 else None
-            nodes.append((mode, partner, coeff, children))
+            nodes.append((word, partner, coeff, children))
     return tuple(nodes)
 
 
-def _walk(nodes, state, out):
-    """out += every word of the trie nodes applied to state, with its
-    coefficient."""
-    present = set().union(*state)
-    for mode, partner, coeff, children in nodes:
-        if partner is not None and partner not in present:
+def _walk(nodes, mon, c, out):
+    """out += every word of the trie nodes applied to c times the
+    monomial mon, with its coefficient.  A word sends a monomial to zero
+    or to one monomial, so the walk carries one."""
+    for word, partner, coeff, children in nodes:
+        if partner is not None and partner not in mon:
             continue
-        head = apply_word((mode,), state)
+        head = apply_word(word, {mon: c})
         if head:
             sadd(out, head, coeff)
             if children:
-                _walk(children, head, out)
+                (head_mon, head_c), = head.items()
+                _walk(children, head_mon, head_c, out)
 
 
 class ModeOperator:
@@ -216,7 +228,7 @@ class ModeOperator:
         images table calls it on a miss."""
         check_monomial(mon)
         out = {}
-        _walk(self._tries[mon_weight(mon)], {mon: 1}, out)
+        _walk(self._tries[mon_weight(mon)], mon, 1, out)
         return out
 
     def apply(self, state):

@@ -6,13 +6,19 @@ from math import factorial
 import pytest
 
 from chiral import freefield
+from chiral.basis import enumerate_full, grades
 from chiral.checks import ENGINE_CLI, _family
-from chiral.freefield import (BETA, GAMMA, B, C, VACUUM, VACUUM_MON, Q_STATE,
-                              L_STATE, J_STATE, G_STATE, apply_mode,
-                              apply_word, binomial, mon_charge, mon_parity,
-                              mon_weight, mon_str, normalize, nth_product,
-                              sadd, sscale, state_str, translate,
-                              weight_charge, wick, _intern, _reach)
+from chiral.freefield import (BETA, GAMMA, B, C, PARITY, PARTNER, VACUUM,
+                              VACUUM_MON, Q_STATE, L_STATE, J_STATE, G_STATE,
+                              apply_mode, apply_word, binomial, mon_charge,
+                              mon_parity, mon_weight, mon_str, normalize,
+                              nth_product, sadd, sscale, state_str, translate,
+                              weight_charge, wick, _apply_mode_mono, _intern,
+                              _reach)
+
+# the bracket constants: [beta_(m), gamma_(n)] = -[gamma_(n), beta_(m)] and
+# {b_(m), c_(n)} = {c_(n), b_(m)} are 1 when m + n + 1 = 0
+BRACKET = {BETA: 1, GAMMA: -1, B: 1, C: 1}
 
 
 def test_normalize_ordering_and_sign():
@@ -85,10 +91,89 @@ def test_contractions():
 
 
 def test_apply_mode_koszul_sign():
-    # c_(0) must pass b_(-1) (odd) before contracting the second b
-    st = {((B, -1), (B, -2)): 1}
-    assert apply_mode(C, 1, st) == {((B, -1),): -1}
-    assert apply_mode(C, 0, st) == {((B, -2),): 1}
+    # on b(-2) b(-1), c_(1) contracts the first mode; c_(0) must pass
+    # b(-2) (odd) before contracting b(-1)
+    st = {((B, -2), (B, -1)): 1}
+    assert apply_mode(C, 1, st) == {((B, -1),): 1}
+    assert apply_mode(C, 0, st) == {((B, -2),): -1}
+
+
+def test_apply_mode_multiplicity():
+    # gamma_(0) contracts either beta(-1) of beta(-1)^2
+    assert apply_mode(GAMMA, 0, {((BETA, -1), (BETA, -1)): 1}) == {((BETA, -1),): -2}
+
+
+def _apply_mode_scan(gen, idx, mon):
+    """x_(idx) on one monomial by a left-to-right scan, as a {monomial:
+    int} dict: the reference the binary-search action is checked
+    against."""
+    if idx <= -1:
+        key = (gen, idx)
+        pos = 0
+        crossings = 0
+        for k in mon:
+            if k < key:
+                pos += 1
+                crossings += PARITY[k[0]]
+            else:
+                break
+        if PARITY[gen]:
+            if pos < len(mon) and mon[pos] == key:
+                return {}
+            sign = -1 if crossings & 1 else 1
+        else:
+            sign = 1
+        return {mon[:pos] + ((gen, idx),) + mon[pos:]: sign}
+    out = {}
+    sign = 1
+    odd = PARITY[gen]
+    for p, (g2, i2) in enumerate(mon):
+        if g2 == PARTNER[gen] and idx + i2 + 1 == 0:
+            rest = mon[:p] + mon[p + 1:]
+            out[rest] = out.get(rest, 0) + sign * BRACKET[gen]
+        if odd and PARITY[g2]:
+            sign = -sign
+    return {m: c for m, c in out.items() if c}
+
+
+def test_mode_action_matches_the_scan_on_every_small_monomial():
+    # every monomial of enumerate_full(k, l, 2) with k <= 6, every
+    # generator and every index in -7..6: 216,720 cases
+    cases = nonzero = 0
+    for k, l in grades(6):
+        for mon in enumerate_full(k, l, 2):
+            for gen in (BETA, GAMMA, B, C):
+                for idx in range(-7, 7):
+                    term = _apply_mode_mono(gen, idx, mon)
+                    got = {} if term is None else dict((term,))
+                    assert got == _apply_mode_scan(gen, idx, mon), (gen, idx, mon)
+                    cases += 1
+                    nonzero += term is not None
+    assert cases == 216720
+    assert 0 < nonzero < cases
+
+
+def _reach_scan(r, b):
+    """_reach by scanning b for each partner's first mode."""
+    reach = 0
+    for g, m in r:
+        for g2, p in b:
+            if g2 == PARTNER[g]:
+                reach -= m + p + 1
+                break
+    return reach
+
+
+def test_reach_matches_the_scan_on_seeded_pairs():
+    rng = random.Random(20261021)
+    fa, fb = _family(3, 2), _family(5, 2)
+    positive = 0
+    for _ in range(2000):
+        am, bm = rng.choice(fa), rng.choice(fb)
+        reach = _reach(am, bm)
+        assert reach == _reach_scan(am, bm), (am, bm)
+        positive += reach > 0
+    assert positive > 500
 
 
 def test_apply_word_right_to_left():

@@ -4,6 +4,9 @@ function or class of the package is read by some package module or
 exported by `chiral/__init__`, so no test-only code lives in `src`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chiral
@@ -95,3 +98,18 @@ def test_the_walk_sees_unread_definitions():
                         "    return a.used()\n")}
     assert unread_definitions(sources, {"Exported"}) == [
         ("a.py", "recursive"), ("b.py", "dead")]
+
+
+def test_every_name_the_layer_tracer_rebinds_exists():
+    # perfbench/layertrace.py times each layer by rebinding the names one
+    # layer imported from another; install() fails on a name that is gone.
+    # The child writes no bytecode, so perfbench/ is left as it is
+    root = Path(__file__).resolve().parent.parent
+    src = Path(chiral.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(src)]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import layertrace; layertrace.install(layertrace.Tracer())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
