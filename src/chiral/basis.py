@@ -14,6 +14,12 @@ canonical order with no sort and b, c modes never repeat.
 basis_block(k, l, s) is the s-block of a weight-k, charge-l basis; the
 block s = l is where chiral.sl2 takes the invariants.  enumerate_full
 adds gamma_(-1) powers to a basis and keeps no memo of its own.
+
+No weight above MAX_WEIGHT is walked: enumerate_basis, charges and
+grades refuse it with ValueError before any monomial is made, and every
+library entry point that takes a weight (chiral.sl2.character and
+invariants, chiral.geometry.dim_global, enumerate_full) reaches its
+blocks through them.
 """
 
 from __future__ import annotations
@@ -23,6 +29,23 @@ from functools import cache
 
 from .freefield import (BETA, FIELD_WEIGHT, GAMMA, PARITY, B, C, check_int,
                         mon_charge)
+
+
+# The largest weight accepted: the largest with a timing target and a
+# generating-function count oracle.  The invariant blocks widen about
+# 1.65x per weight (1,204 columns at 12), and _walk would keep every
+# monomial of a weight (28,352 at 12, 1,358,064 at 20), so larger
+# weights are refused before any computation starts.
+MAX_WEIGHT = 12
+
+
+def _check_weight(k):
+    """Raise TypeError unless k is an int, ValueError if it exceeds
+    MAX_WEIGHT."""
+    check_int(k, "weights")
+    if k > MAX_WEIGHT:
+        raise ValueError("weight %d is above MAX_WEIGHT = %d"
+                         % (k, MAX_WEIGHT))
 
 
 def mon_scount(mon) -> int:
@@ -52,24 +75,26 @@ def _walk(k: int):
 def enumerate_basis(k: int, l: int):
     """All positive-sector monomials of weight k and charge l, in
     canonical monomial order.  A k or l that is not an int raises
-    TypeError."""
-    check_int(k, "weights")
+    TypeError, and a k above MAX_WEIGHT ValueError."""
+    _check_weight(k)
     check_int(l, "charges")
     return _walk(k).get(l, ())
 
 
 def charges(k: int):
     """The charges of the nonempty weight-k blocks, in increasing order.
-    A k that is not an int raises TypeError."""
-    check_int(k, "weights")
+    A k that is not an int raises TypeError, and one above MAX_WEIGHT
+    ValueError."""
+    _check_weight(k)
     return sorted(_walk(k))
 
 
 def grades(kmax: int):
     """The (k, l) of every nonempty block of weight k <= kmax: weights
     in increasing order, each with its charges in increasing order.  A
-    kmax that is not an int raises TypeError."""
-    check_int(kmax, "weights")
+    kmax that is not an int raises TypeError, and one above MAX_WEIGHT
+    ValueError, at the first step, before any block is walked."""
+    _check_weight(kmax)
     for k in range(kmax + 1):
         for l in charges(k):
             yield k, l

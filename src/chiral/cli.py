@@ -13,7 +13,7 @@ Subcommands:
 All output is deterministic: repeated runs produce identical bytes.
 Exit codes: 0 success, 1 verification failure or a reader that closed
 stdout before the output was written, 2 usage error (a weight above
-MAX_WEIGHT included).
+chiral.basis.MAX_WEIGHT included).
 """
 
 import argparse
@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import checks
-from .basis import grades
+from .basis import MAX_WEIGHT, grades
 from .freefield import state_str
 from .geometry import dim_global
 from .sl2 import character, invariants
@@ -93,13 +93,6 @@ def _nonneg(text):
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
-
-
-# The largest weight accepted: the largest with a timing target and a
-# generating-function count oracle.  The invariant blocks widen about
-# 1.65x per weight (1,204 columns at 12), so larger weights are refused
-# before any computation starts.
-MAX_WEIGHT = 12
 
 
 def _weight(text):

@@ -31,16 +31,23 @@ tables on ids, the one memo of mode action is the per-monomial image
 memo of each chiral.modeops.ModeOperator.  sadd is the one sparse add;
 it also does chiral.linalg's row updates over Q.
 
-The n-th product of two monomials is computed by the iterate formula
-(see _ProdRow.__missing__) and memoised.  Two exact shortcuts keep it
-off the products Wick's theorem proves zero.  A one-mode operator is
-taken in closed form: for a = u_(m)|0> and k = -1 - m,
-a_(n) b = (-1)^k C(n, k) u_(n-k) b.  And for t >= 0, r_(t) b is a sum
-over nonempty sets of contractions between modes x_(m) of r and y_(p)
-of b, each contraction a pole of order -m - p - 1; a set's term reaches
-r_(t) b only if its total order exceeds t, and that total is at most
-the contraction-degree bound _reach(r, b).  So the iterate formula's
-first sum stops at t = _reach(r, b).
+The n-th product of two monomials is computed by the commutator formula
+(Kac, Vertex Algebras for Beginners) and memoised.  For all p and n,
+
+    [x_(p), a_(n)] = sum_{j>=0} C(p, j) (x_(j) a)_(p+n-j),
+
+so peeling the leftmost mode of b = x_(p) c (p <= -1) gives
+
+    a_(n) b = eps x_(p) (a_(n) c) - eps sum_j C(p, j) (x_(j) a)_(p+n-j) c,
+
+eps = (-1)^(|a||x|).  x_(j) with j >= 0 acts on a only by contracting a
+mode of a, so the sum runs over those contractions (see
+_ProdRow.__missing__).  Each step shortens b, and each term of the sum
+shortens a as well.  The recursion ends at one of three closed forms:
+|0>_(n) b is b at n = -1 and 0 otherwise; a one-mode operator
+a = u_(m)|0> gives a_(n) b = (-1)^k C(n, k) u_(n-k) b, k = -1 - m; and
+the vacuum column is the divided translation a_(n)|0> = T^k a / k! for
+k = -1 - n >= 0, and 0 for n >= 0.
 
 Inside that engine, and in the engine sweep of chiral.checks,
 monomials are interned: each distinct monomial gets a small int id on
@@ -56,12 +63,10 @@ answered without being stored.  So a sweep that applies one operator
 to many states fetches its row once (_prod_row) and reads every
 product as row[ib], and the engine itself reads its inner products
 the same way.  Every stored pair is the one object _pairs holds for
-its value, so products that share a term share its pair.  The second
-sum of the iterate formula is taken straight from the contractions of
-the peeled mode with the modes of b.  Everything public (nth_product,
-wick, apply_mode, apply_word, translate, state_str) takes and returns
-monomial-keyed states; the ids never leave this module and the engine
-sweep.
+its value, so products that share a term share its pair.  Everything
+public (nth_product, wick, apply_mode, apply_word, translate,
+state_str) takes and returns monomial-keyed states; the ids never leave
+this module and the engine sweep.
 """
 
 from __future__ import annotations
@@ -322,22 +327,6 @@ def _contract(gen, i):
 _contractions = Memo(lambda gen: Memo(partial(_contract, gen)))
 
 
-def _reach(r, b):
-    """The contraction-degree bound of the monomials r and b: the sum,
-    over the modes u_(m) of r whose partner occurs in b, of -m - p - 1
-    for that partner's lowest mode p in b (its first, as b is sorted,
-    found by one bisect_left).  No set of contractions between r and b
-    has a larger total pole order, so r_(t) b = 0 for every t >= 0 with
-    t >= _reach(r, b)."""
-    reach = 0
-    for g, m in r:
-        partner = PARTNER[g]
-        pos = bisect_left(b, (partner,))
-        if pos < len(b) and b[pos][0] == partner:
-            reach -= m + b[pos][1] + 1
-    return reach
-
-
 class _ProdRow(dict):
     """The memo row of the operator a_(n), for the monomial a with id ia:
     {id of b: a_(n) b}.  Reading a product the row lacks computes it."""
@@ -359,25 +348,26 @@ class _ProdRow(dict):
         n < 0, else the contractions of u_(n-k) with the modes of b (none
         if n < k, where C(n, k) = 0).
 
-        Otherwise the iterate formula peels the leftmost mode u_(m) of
-        a = u_(m) r (m <= -1, so every binomial below is nonzero):
+        A b = |0> takes the vacuum column: a_(n)|0> = T^k a / k! for
+        k = -1 - n >= 0, by k steps of translate, each divided by its
+        step number (T^i a / i! has int coefficients); 0 for n >= 0.
 
-        (u_(m) r)_(n) b = sum_j (-1)^j C(m,j) (u_(m-j) (r_(n+j) b)
-                          - (-1)^(m+|u||r|) r_(m+n-j) (u_(j) b))
+        Otherwise the commutator formula of the module docstring peels
+        the leftmost mode x_(p) of b = x_(p) c, eps = (-1)^(|a||x|):
 
-        u_(m-j) is a creation mode, inserted into each monomial of
-        r_(n+j) b through the insertion row of u_(m-j).  The first sum
-        stops where r_(n+j) b is zero by weight or by the
-        contraction-degree bound of the module docstring,
-        n + j >= _reach(r, b).  u_(j) with j >= 0 only contracts a mode
-        of b, so the second sum runs over those contractions rather than
-        over every j.  Both sums read the products of r from their memo
-        rows, which compute only their misses; every term of either sum
-        has the weight of a_(n) b, so none is below weight 0.
+        a_(n) b = eps x_(p) (a_(n) c)
+                  - eps sum_j (-1)^j C(j-p-1, j) (x_(j) a)_(p+n-j) c
+
+        where (-1)^j C(j-p-1, j) = C(p, j), as p <= -1.  a_(n) c is read
+        from this row, unless it lies below weight 0, and x_(p) is
+        inserted into each of its monomials through the insertion row of
+        x_(p).  The sum runs over the contractions (j, k, c') of x with a,
+        x_(j) a = c' |k>, and reads each (mon k)_(p+n-j) c from the memo
+        row of that operator; every term of the sum has the weight of
+        a_(n) b, so none is below weight 0.
         """
         ia, n = self.ia, self.n
-        wb = _weights[ib]
-        if _weights[ia] + wb - n - 1 < 0:
+        if _weights[ia] + _weights[ib] - n - 1 < 0:
             return _EMPTY
         head = _heads[ia]
         if head is None:
@@ -397,32 +387,29 @@ class _ProdRow(dict):
                 c = -comb(n, k) if k & 1 else comb(n, k)
                 terms = [(k2, c * c2) for j, k2, c2 in _contractions[gu][ib]
                          if j == mode]
+        elif _heads[ib] is None:
+            # b = |0>: a_(n)|0> = T^k a / k! for k = -1 - n >= 0, else 0
+            state = {_mons[ia]: 1} if n < 0 else {}
+            for i in range(1, -n):
+                state = {mon: c // i for mon, c in translate(state).items()}
+            terms = [(_intern(mon), c) for mon, c in state.items()]
         else:
-            gu, m, rest = head
-            rows = _prod_rows
+            gx, p, ic = _heads[ib]
+            eps = -1 if _parities[ia] & PARITY[gx] else 1
             out = {}
             get = out.get
-            # first sum: u_(m-j) (r_(n+j) b); (-1)^j C(m,j) = C(j-m-1, j)
-            # for m < 0.  r_(n+j) b is zero below weight 0 and, by Wick's
-            # theorem, once n + j >= _reach(r, b)
-            for j in range(min(_weights[rest] + wb,
-                               _reach(_mons[rest], _mons[ib])) - n):
-                inner = rows[rest, n + j][ib]
-                if inner:
-                    cj = comb(j - m - 1, j)
-                    irow = _insert_rows[gu, m - j]
-                    for k, c in inner:
-                        sign, k2 = irow[k]
-                        if sign is not None:
-                            out[k2] = get(k2, 0) + sign * cj * c
-            # second sum: -(-1)^(m+|u||r|) r_(m+n-j) (u_(j) b)
-            sgn = 1 if (m + PARITY[gu] * _parities[rest]) & 1 else -1
-            for j, k, c in _contractions[gu][ib]:
-                inner = rows[rest, m + n - j][k]
-                if inner:
-                    cj = sgn * comb(j - m - 1, j) * c
-                    for k2, c2 in inner:
-                        out[k2] = get(k2, 0) + cj * c2
+            # eps x_(p) (a_(n) c), unless a_(n) c lies below weight 0
+            if _weights[ia] + _weights[ic] - n - 1 >= 0:
+                irow = _insert_rows[gx, p]
+                for k, c in self[ic]:
+                    sign, k2 = irow[k]
+                    if sign is not None:
+                        out[k2] = get(k2, 0) + eps * sign * c
+            # -eps C(p, j) (x_(j) a)_(p+n-j) c, C(p, j) = (-1)^j C(j-p-1, j)
+            for j, k, c in _contractions[gx][ia]:
+                cj = comb(j - p - 1, j) * c * (eps if j & 1 else -eps)
+                for k2, c2 in _prod_rows[k, p + n - j][ic]:
+                    out[k2] = get(k2, 0) + cj * c2
             terms = out.items()
         pair = _pairs.setdefault
         out = self[ib] = tuple([pair(kc, kc) for kc in terms if kc[1]])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiral import case3_kernel, character, invariants
+from chiral import basis, case3_kernel, character, dim_global, invariants
 from chiral.basis import (basis_block, charges, enumerate_basis,
                           enumerate_full, grades, mon_scount, split_by_s)
 from chiral.freefield import (BETA, GAMMA, B, C, mon_charge, mon_weight,
@@ -123,6 +123,20 @@ def test_weights_and_charges_are_int_wherever_they_enter_the_basis():
         for call in calls:
             with pytest.raises(TypeError, match="%s are int, not float" % what):
                 call()
+
+
+def test_every_entry_point_refuses_a_weight_above_the_bound():
+    # weight 13 is refused at once, with one message that names the
+    # bound, and _walk keeps no entry for it (it caches nothing new)
+    calls = (lambda: character(13), lambda: invariants(13, 0),
+             lambda: dim_global(13, 0, 2), lambda: enumerate_basis(13, 0),
+             lambda: charges(13), lambda: list(grades(13)))
+    before = basis._walk.cache_info().currsize
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=r"^weight 13 is above MAX_WEIGHT = 12$"):
+            call()
+    assert basis._walk.cache_info().currsize == before
 
 
 def test_scount():
