@@ -9,12 +9,12 @@ that fits the one-minute budget.  The sl2 sweep runs at SL2_SIZES and
 EMPTINESS_KMAX.  geometry_failures defaults to its `chiral verify` size.
 """
 
-from . import geometry as geo, sl2
+from . import freefield, geometry as geo, sl2
 from .basis import (charges, enumerate_basis, enumerate_full, grades,
                     mon_scount, split_by_s)
 from .chart import ChartFn, I, metric_data
-from .freefield import (VACUUM, _intern, _prod_mono, _prod_row, _state,
-                        binomial, mon_charge, mon_parity, mon_str, mon_weight,
+from .freefield import (VACUUM, _intern, _prod_mono, _state, binomial,
+                        mon_charge, mon_parity, mon_str, mon_weight,
                         normalize, nth_product, sadd, sscale, state_str,
                         translate, weight_charge, B, C, GAMMA)
 
@@ -32,19 +32,27 @@ def _fail(fails, what, lhs, rhs):
 
 
 def vacuum_failures(amax, dmax, nbound):
-    """a_(n)|0> = 0 for n >= 0 and a_(-1)|0> = a.  For n >= weight(a),
-    a_(n)|0> lies below weight 0, where every product is zero by the
-    grading, so only n < weight(a) is read."""
+    """a_(n)|0> = 0 for n >= 0 and a_(-1)|0> = a, and the vacuum
+    operator: |0>_(n) a = a at n = -1 and 0 otherwise, for n from
+    -nbound up.  For n >= weight(a), a_(n)|0> and |0>_(n) a lie below
+    weight 0, where every product is zero by the grading, so only
+    n < weight(a) is read."""
     fails = []
     for am in _family(amax, dmax):
         a = {am: 1}
-        for n in range(min(nbound + 1, mon_weight(am))):
+        w = mon_weight(am)
+        for n in range(min(nbound + 1, w)):
             got = nth_product(a, n, VACUUM)
             if got:
                 _fail(fails, "vacuum: %s_(%d)|0>" % (mon_str(am), n), got, {})
         got = nth_product(a, -1, VACUUM)
         if got != a:
             _fail(fails, "vacuum: %s_(-1)|0>" % mon_str(am), got, a)
+        for n in range(-nbound, w):
+            got, want = nth_product(VACUUM, n, a), a if n == -1 else {}
+            if got != want:
+                _fail(fails, "vacuum: |0>_(%d)%s" % (n, mon_str(am)),
+                      got, want)
     return fails
 
 
@@ -58,8 +66,8 @@ def translation_failures(amax, xmax, adeg, xdeg, nbound):
         ta = translate({am: 1})
         tids = [(_intern(tm), ct) for tm, ct in ta.items()]
         # the memo rows of a_(n-1) and of each monomial of (T a)_(n)
-        rows = [(n, _prod_row(ia, n - 1),
-                 [(ct, _prod_row(it, n)) for it, ct in tids])
+        rows = [(n, freefield._prod_rows[ia, n - 1],
+                 [(ct, freefield._prod_rows[it, n]) for it, ct in tids])
                 for n in span]
         for xm, ix, wx in X:
             for n, arow, trows in rows:
@@ -174,8 +182,9 @@ def _commutator_pairs(found, pairs, X, nbound):
     wa, la, pa = mon_weight(am), mon_charge(am), mon_parity(am)
     wb, lb, pb = mon_weight(bm), mon_charge(bm), mon_parity(bm)
     sign = -1 if pa & pb else 1
-    arows = [_prod_row(ia, m) for m in span]
-    brows = [_prod_row(ib, n) for n in span]
+    memo = freefield._prod_rows
+    arows = [memo[ia, m] for m in span]
+    brows = [memo[ib, n] for n in span]
     # For each pair, the right side sum_j C(m,j) (a_(j)b)_(m+n-j) x as
     # (least weight of x, row of p_(t), [(slot, coeff)]) over the
     # monomials p of the nonzero a_(j)b, scaled so that the table below
@@ -202,7 +211,7 @@ def _commutator_pairs(found, pairs, X, nbound):
                         slots.setdefault(m + n - j, []).append(
                             (mi * size + ni, sign * cj if v else -cj))
             for t, st in slots.items():
-                terms.extend((t + j + 2 - wa - wb, _prod_row(ip, t),
+                terms.extend((t + j + 2 - wa - wb, memo[ip, t],
                               [(slot, cj * cp) for slot, cj in st])
                              for ip, cp in pj)
         terms.sort(key=lambda term: term[0])
@@ -264,7 +273,7 @@ ENGINE_CLI = {
 # widest sweep fitting the one-minute budget on a single core; the
 # plain product of the per-role weight caps does not.  It takes 9-11 s
 # (three cold runs) on a shared 2-core VM under Python 3.11.7, at about
-# 184 MB peak RSS, and leaves 898,788 products in the memo.
+# 184 MB peak RSS, and leaves 900,770 products in the memo.
 ENGINE_FULL = {
     "amax": 3, "xmax": 2, "adeg": 2, "xdeg": 1, "nbound": 3,
     "blocks": ((2, 2, 2, 0), (3, 1, 1, 0), (1, 1, 1, 2)),
@@ -381,16 +390,15 @@ def geometry_failures(kmax=2, case3_kmax=3):
                     total = total + a
                 if geo.dbar_total(total):
                     fails.append("Dbar(sum) != 0 on %s" % mon_str(mon))
-    for k in range(case3_kmax + 1):
-        for s in range(-k, k + 1):
-            for mon in basis_block(k, s, s):
-                sec = geo.FormSection(deg0={mon: one})
-                if geo.f2(sec):
-                    fails.append("F2(A (x) 1) != 0 on %s" % mon_str(mon))
-                if geo.dbar_prime(sec):
-                    fails.append("dbar_prime(A (x) 1) != 0 on %s" % mon_str(mon))
-            try:
-                geo.case3_kernel(k, s)
-            except ArithmeticError as exc:
-                fails.append("case-3 kernel check failed at (%d,%d): %s" % (k, s, exc))
+    for k, s in grades(case3_kmax):
+        for mon in basis_block(k, s, s):
+            sec = geo.FormSection(deg0={mon: one})
+            if geo.f2(sec):
+                fails.append("F2(A (x) 1) != 0 on %s" % mon_str(mon))
+            if geo.dbar_prime(sec):
+                fails.append("dbar_prime(A (x) 1) != 0 on %s" % mon_str(mon))
+        try:
+            geo.case3_kernel(k, s)
+        except ArithmeticError as exc:
+            fails.append("case-3 kernel check failed at (%d,%d): %s" % (k, s, exc))
     return fails

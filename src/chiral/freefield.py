@@ -43,11 +43,11 @@ so peeling the leftmost mode of b = x_(p) c (p <= -1) gives
 eps = (-1)^(|a||x|).  x_(j) with j >= 0 acts on a only by contracting a
 mode of a, so the sum runs over those contractions (see
 _ProdRow.__missing__).  Each step shortens b, and each term of the sum
-shortens a as well.  The recursion ends at one of three closed forms:
-|0>_(n) b is b at n = -1 and 0 otherwise; a one-mode operator
-a = u_(m)|0> gives a_(n) b = (-1)^k C(n, k) u_(n-k) b, k = -1 - m; and
-the vacuum column is the divided translation a_(n)|0> = T^k a / k! for
-k = -1 - n >= 0, and 0 for n >= 0.
+shortens a as well.  The recursion has one base case, the vacuum
+column b = |0>: the divided translation a_(n)|0> = T^k a / k! for
+k = -1 - n >= 0, and 0 for n >= 0.  It needs no other: for a = |0> the
+sum is empty, and for a one-mode a = u_(m)|0> each x_(j) a is a
+multiple of |0>.
 
 Inside that engine, and in the engine sweep of chiral.checks,
 monomials are interned: each distinct monomial gets a small int id on
@@ -60,20 +60,20 @@ fills its own misses (Memo, _ProdRow): _prod_rows[ia, n] makes the row
 of a_(n) on first use, and row[ib] computes a missing product and
 keeps it, unless the product lies below weight 0, where it is zero and
 answered without being stored.  So a sweep that applies one operator
-to many states fetches its row once (_prod_row) and reads every
-product as row[ib], and the engine itself reads its inner products
-the same way.  Every stored pair is the one object _pairs holds for
-its value, so products that share a term share its pair.  Everything
-public (nth_product, wick, apply_mode, apply_word, translate,
-state_str) takes and returns monomial-keyed states; the ids never leave
-this module and the engine sweep.
+to many states fetches its row once (_prod_rows[ia, n]) and reads
+every product as row[ib], and the engine itself reads its inner
+products the same way.  Every stored pair is the one object _pairs
+holds for its value, so products that share a term share its pair.
+Everything public (nth_product, wick, apply_mode, apply_word,
+translate, state_str) takes and returns monomial-keyed states; the ids
+never leave this module and the engine sweep.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import partial
-from math import comb, factorial
+from math import comb
 
 BETA, GAMMA, B, C = 0, 1, 2, 3
 
@@ -131,11 +131,13 @@ def normalize(modes, coeff=1):
 
     Returns a state: empty if an odd mode repeats, else one monomial with
     the Koszul sign from permuting odd modes past each other.  The modes
-    act on the vacuum right to left through apply_mode.
+    act on the vacuum right to left through apply_mode.  Every mode is
+    checked before any is applied, as check_monomial checks a mode: an
+    index that is not an int raises TypeError, an unknown generator or
+    an index above -1 ValueError.
     """
-    for gen, idx in modes:
-        if idx > -1:
-            raise ValueError("normalize expects creation modes, got index %d" % idx)
+    for mode in modes:
+        check_monomial((mode,))
     state = {VACUUM_MON: coeff} if coeff else {}
     for gen, idx in reversed(modes):
         state = apply_mode(gen, idx, state)
@@ -199,15 +201,14 @@ def apply_word(word, state):
 
 
 def binomial(m, j):
-    """C(m, j) for any integer m, j >= 0, via the falling factorial."""
+    """C(m, j) for any integer m, j >= 0; for m < 0 it is
+    (-1)^j C(j - m - 1, j)."""
     if j < 0:
         return 0
     if m >= 0:
         return comb(m, j)
-    num = 1
-    for t in range(j):
-        num *= m - t
-    return num // factorial(j)
+    c = comb(j - m - 1, j)
+    return -c if j & 1 else c
 
 
 def sadd(acc, state, coeff=1):
@@ -243,11 +244,13 @@ _parities = []   # id -> parity
 
 def check_monomial(mon, stop=None):
     """Raise ValueError unless mon is normally ordered: creation modes of
-    the four generators, sorted, with no odd mode repeated.  With stop,
-    only mon[:stop] is checked."""
+    the four generators, sorted, with no odd mode repeated; an index that
+    is not an int raises TypeError.  With stop, only mon[:stop] is
+    checked."""
     prev = None
     for mode in mon[:stop]:
         gen, idx = mode
+        check_int(idx, "mode indices")
         if gen not in _GENS or idx > -1:
             raise ValueError("not a creation mode: %r in %r" % (mode, mon))
         if prev is not None and (prev > mode or prev == mode and PARITY[gen]):
@@ -343,14 +346,10 @@ class _ProdRow(dict):
         lies below weight 0: then it is zero, answered as _EMPTY and
         never stored.
 
-        A one-mode a = u_(m)|0> takes the closed form of the module
-        docstring: one insertion through the insertion row of u_(n-k) if
-        n < 0, else the contractions of u_(n-k) with the modes of b (none
-        if n < k, where C(n, k) = 0).
-
-        A b = |0> takes the vacuum column: a_(n)|0> = T^k a / k! for
-        k = -1 - n >= 0, by k steps of translate, each divided by its
-        step number (T^i a / i! has int coefficients); 0 for n >= 0.
+        A b = |0> is the one base case, the vacuum column:
+        a_(n)|0> = T^k a / k! for k = -1 - n >= 0, by k steps of
+        translate, each divided by its step number (T^i a / i! has int
+        coefficients); 0 for n >= 0.
 
         Otherwise the commutator formula of the module docstring peels
         the leftmost mode x_(p) of b = x_(p) c, eps = (-1)^(|a||x|):
@@ -369,32 +368,15 @@ class _ProdRow(dict):
         ia, n = self.ia, self.n
         if _weights[ia] + _weights[ib] - n - 1 < 0:
             return _EMPTY
-        head = _heads[ia]
+        head = _heads[ib]
         if head is None:
-            terms = ((ib, 1),) if n == -1 else ()
-        elif _heads[head[2]] is None:
-            # a = u_(m)|0>, k = -1 - m: a_(n) = (-1)^k C(n, k) u_(n-k), where
-            # (-1)^k C(n, k) = C(k-n-1, k) for n < 0 and C(n, k) = 0 for
-            # 0 <= n < k, when u_(n-k) has no contraction to make
-            gu, m, _ = head
-            k = -1 - m
-            mode = n - k
-            if n < 0:
-                sign, k2 = _insert_rows[gu, mode][ib]
-                terms = (() if sign is None
-                         else ((k2, sign * comb(k - n - 1, k)),))
-            else:
-                c = -comb(n, k) if k & 1 else comb(n, k)
-                terms = [(k2, c * c2) for j, k2, c2 in _contractions[gu][ib]
-                         if j == mode]
-        elif _heads[ib] is None:
             # b = |0>: a_(n)|0> = T^k a / k! for k = -1 - n >= 0, else 0
             state = {_mons[ia]: 1} if n < 0 else {}
             for i in range(1, -n):
                 state = {mon: c // i for mon, c in translate(state).items()}
             terms = [(_intern(mon), c) for mon, c in state.items()]
         else:
-            gx, p, ic = _heads[ib]
+            gx, p, ic = head
             eps = -1 if _parities[ia] & PARITY[gx] else 1
             out = {}
             get = out.get
@@ -419,12 +401,6 @@ class _ProdRow(dict):
 _prod_rows = Memo(_ProdRow)   # (id of a, n) -> the memo row of a_(n)
 _pairs = {}        # (id, coeff) -> the one stored pair equal to it
 _EMPTY = ()        # every zero product
-
-
-def _prod_row(ia, n):
-    """The live memo row of a_(n) for the monomial with id ia, created on
-    first use: row[ib] reads a_(n) b, computing and keeping a miss."""
-    return _prod_rows[ia, n]
 
 
 def _prod_mono(ia, n, ib):

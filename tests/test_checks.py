@@ -7,7 +7,7 @@ from chiral.basis import enumerate_basis, grades, mon_scount
 from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
-                           translation_failures)
+                           translation_failures, vacuum_failures)
 from chiral.freefield import BETA, C, GAMMA, VACUUM_MON, _intern, mon_str
 from chiral.modeops import ModeOperator, pair
 
@@ -31,31 +31,31 @@ def test_geometry_sweep_clean():
 def test_engine_sweep_catches_a_wrong_product(empty_memo):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
+    freefield._prod_rows[key[:2]][key[2]] = ((_intern(VACUUM_MON), 2),)
     fails = translation_failures(ENGINE_CLI["amax"], ENGINE_CLI["xmax"],
                                  ENGINE_CLI["adeg"], ENGINE_CLI["xdeg"],
                                  ENGINE_CLI["nbound"])
-    assert len(fails) == 2
+    assert len(fails) == 4
     assert fails[0] == ("translation: (T beta(-1))_(1) gamma(-1): "
                         "lhs = (-1) 1, rhs = (-2) 1")
     fails = commutator_failures(((1, 1, 1, 1),), 2)
-    assert len(fails) == 383
+    assert len(fails) == 1096
     assert _digest(fails) == (
-        "4a5ab08f79e299b2223bf1fc2970a4cdad12c110bfddc55dfd8a53f5617d9c75")
+        "53b07c45bc2b793c693684e91c1aa3ab882d703af48f1381e59ad4cabbf4c698")
 
 
 def test_commutator_sweep_reports_a_mixed_grading(empty_memo):
     # plant beta(-1)_(0) gamma(-1) = 1 + c(-1), which mixes weights and
     # charges: the sweep reports it as a grading failure and goes on
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 1),
+    freefield._prod_rows[key[:2]][key[2]] = ((_intern(VACUUM_MON), 1),
                                              (_intern(((C, -1),)), 1))
     fails = commutator_failures(((1, 1, 1, 1),), 2)
     assert ("grading: beta(-1)_(0)gamma(-1): lhs = (1) 1 + (1) c(-1), "
             "rhs = 0") in fails
-    assert len(fails) == 564
+    assert len(fails) == 1248
     assert _digest(fails) == (
-        "337626a23318c1a844f02029df10907b70bcd047fd64dc1fa99a95b5e936593a")
+        "87f42dcf86e28ef831f10f337552d840ee6cff638e236b5f621d0b2885e7ae4c")
 
 
 def test_commutator_sweep_catches_a_wrong_product_in_the_gamma1_free_block(
@@ -64,13 +64,28 @@ def test_commutator_sweep_catches_a_wrong_product_in_the_gamma1_free_block(
     # sweep takes at gamma_(-1)-degree 0, where the other plants never
     # show; the failures of both pairs of each swap are listed, in order
     key = (_intern(((BETA, -1),)), 1, _intern(((GAMMA, -2),)))
-    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
+    freefield._prod_rows[key[:2]][key[2]] = ((_intern(VACUUM_MON), 2),)
     fails = commutator_failures(((2, 2, 1, 0),), 2)
-    assert len(fails) == 242
+    assert len(fails) == 489
     assert fails[0] == ("commutator: [c(-1)_(-2), beta(-1)_(1)] gamma(-2): "
                         "lhs = (1) c(-2), rhs = 0")
     assert _digest(fails) == (
-        "9a43fe90bd97fda1fe2014bc05eea2084e841c9cc175885dfa1d7e7ffbdd066b")
+        "19c9132f6627eb57cd8a7152d8bf83ebfc143ae9304b8d69133d5aa7de830da6")
+
+
+def test_vacuum_sweep_catches_a_wrong_vacuum_operator(empty_memo):
+    # plant |0>_(-1) beta(-1) = 2 beta(-1) (it is beta(-1)) in a fresh
+    # product memo: a_(n)|0> never reads it, but the vacuum operator
+    # axiom does, and so does the recursion for |0>_(-1) beta(-1)^2
+    beta = _intern(((BETA, -1),))
+    freefield._prod_rows[_intern(VACUUM_MON), -1][beta] = ((beta, 2),)
+    fails = vacuum_failures(ENGINE_CLI["amax"], ENGINE_CLI["adeg"],
+                            ENGINE_CLI["nbound"])
+    assert len(fails) == 2
+    assert fails[0] == ("vacuum: |0>_(-1)beta(-1): "
+                        "lhs = (2) beta(-1), rhs = (1) beta(-1)")
+    assert _digest(fails) == (
+        "5e98875345ebd28a26384405c2251df5cf3f7a5d955cdf87daf25ac764ab7ede")
 
 
 def test_engine_sweep_reads_no_product_below_weight_0(monkeypatch,

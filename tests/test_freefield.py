@@ -13,7 +13,8 @@ from chiral.freefield import (BETA, GAMMA, B, C, PARITY, PARTNER, VACUUM,
                               apply_mode, apply_word, binomial, mon_charge,
                               mon_parity, mon_weight, mon_str, normalize,
                               nth_product, sadd, sscale, state_str, translate,
-                              weight_charge, wick, _apply_mode_mono, _intern)
+                              weight_charge, wick, _apply_mode_mono, _intern,
+                              check_monomial)
 
 # the bracket constants: [beta_(m), gamma_(n)] = -[gamma_(n), beta_(m)] and
 # {b_(m), c_(n)} = {c_(n), b_(m)} are 1 when m + n + 1 = 0
@@ -71,6 +72,19 @@ def test_normalize_matches_sort_and_sign_oracle():
         assert normalize(modes, coeff) == expected, modes
     # both outcomes are exercised
     assert 0 < zero < 400
+
+
+def test_normalize_rejects_malformed_modes_before_applying_any():
+    # an unknown generator used to index PARITY and GEN_NAMES from the
+    # end, (-1, -1) printing as c(-1), and a float index entered the
+    # monomial; a repeated odd mode applied first must not hide either
+    for modes in ([(-1, -1)], [(BETA, -1), (7, -2)],
+                  [(B, -1), (B, -1), (4, -1)]):
+        with pytest.raises(ValueError, match="not a creation mode"):
+            normalize(modes)
+    for modes in ([(BETA, -1.5)], [(B, -1), (B, -1), (GAMMA, -2.0)]):
+        with pytest.raises(TypeError, match="mode indices are int"):
+            normalize(modes)
 
 
 def test_normalize_idempotent():
@@ -221,6 +235,23 @@ def test_nth_product_rejects_a_non_int_index_with_a_cold_or_warm_memo(
                 nth_product(a, n, b)
 
 
+def test_nth_product_rejects_a_non_int_mode_index(monkeypatch, empty_memo):
+    # on fresh intern tables, where no (GAMMA, -2) has an id that the
+    # equal (GAMMA, -2.0) would find, a float index raises on either side
+    # of a product and is given no id; it used to enter the product
+    for name in ("_ids", "_mons", "_heads", "_weights", "_parities"):
+        monkeypatch.setattr(freefield, name, type(getattr(freefield, name))())
+    beta = {((BETA, -1),): 1}
+    for mon in (((GAMMA, -2.0),), ((BETA, -1), (C, -1.0)),
+                ((GAMMA, -2), (GAMMA, -2), (C, -3.0))):
+        for a, b in ((beta, {mon: 1}), ({mon: 1}, beta)):
+            with pytest.raises(TypeError, match="mode indices are int"):
+                nth_product(a, -1, b)
+        assert mon not in freefield._ids
+    with pytest.raises(TypeError, match="mode indices are int"):
+        check_monomial(((GAMMA, -2.0),))
+
+
 def test_wick_quasi_commutativity_correction():
     b1 = {((B, -1),): 1}
     c1 = {((C, -1),): 1}
@@ -298,6 +329,13 @@ def test_binomial_negative_upper():
     assert binomial(-2, 2) == 3
     assert binomial(3, 5) == 0
     assert binomial(-3, 0) == 1
+    # C(m, j) = m (m - 1) ... (m - j + 1) / j! for every integer m
+    for m in range(-10, 11):
+        for j in range(11):
+            falling = 1
+            for t in range(j):
+                falling *= m - t
+            assert binomial(m, j) == Fraction(falling, factorial(j)), (m, j)
 
 
 def test_grading_additivity_spot():
@@ -373,10 +411,22 @@ def test_skew_symmetry():
 def test_skew_symmetry_catches_a_wrong_product(empty_memo):
     # plant beta(-1)_(0) gamma(-1) = 2 (it is 1) in a fresh product memo
     key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
-    freefield._prod_row(*key[:2])[key[2]] = ((_intern(VACUUM_MON), 2),)
+    freefield._prod_rows[key[:2]][key[2]] = ((_intern(VACUUM_MON), 2),)
+    # both planted pairs are listed, and so are the products the
+    # recursion builds on the plant: b = beta(-1) peels to the vacuum
+    # operator of beta(-1)_(0) gamma(-1)
     fails = _skew_failures(_family(1, 1), range(-2, 3))
-    assert sorted(fails) == [("beta(-1)", "gamma(-1)", 0),
-                             ("gamma(-1)", "beta(-1)", 0)]
+    assert sorted(fails) == [
+        ("beta(-1)", "beta(-1) gamma(-1)", -2),
+        ("beta(-1)", "beta(-1) gamma(-1)", -1),
+        ("beta(-1)", "beta(-1) gamma(-1)", 0),
+        ("beta(-1)", "gamma(-1)", 0),
+        ("beta(-1)", "gamma(-2) gamma(-1)", -2),
+        ("beta(-1)", "gamma(-2) gamma(-1)", -1),
+        ("beta(-1)", "gamma(-2) gamma(-1)", 0),
+        ("beta(-1) gamma(-1)", "beta(-1)", 0),
+        ("gamma(-1)", "beta(-1)", 0),
+        ("gamma(-2) gamma(-1)", "beta(-1)", 0)]
 
 
 def _in_engine_cli_block(triple):
@@ -512,7 +562,7 @@ def test_borcherds_identity_catches_a_wrong_product(empty_memo):
                 and nth_product({am: 1}, n, {bm: 1})):
             break
     empty_memo()
-    row, ib = freefield._prod_row(_intern(am), n), _intern(bm)
+    row, ib = freefield._prod_rows[_intern(am), n], _intern(bm)
     row[ib] = tuple((k, 2 * c) for k, c in row[ib])
     assert (mon_str(am), n, mon_str(bm)) == (
         "beta(-1) gamma(-4) c(-1)", 2, "beta(-1) c(-1)")
@@ -624,22 +674,26 @@ def test_wick_oracle_and_the_reach_bound_on_seeded_pairs():
 
 
 def test_vacuum_column_against_the_oracle():
-    # a_(n)|0> = T^k a / k! with k = -1 - n, on every multi-mode monomial
-    # of _family(3, 2), for n in -5..-1; b = |0> leaves the oracle no
-    # contraction to make, so it reads T^k a / k! off its Taylor shifts
-    multi = [am for am in _family(3, 2) if len(am) > 1]
-    assert len(multi) > 100
-    for am in multi:
+    # a_(n)|0> = T^k a / k! with k = -1 - n, on every monomial of
+    # _family(3, 2), the vacuum and the one-mode ones included, for n in
+    # -5..-1; b = |0> leaves the oracle no contraction to make, so it
+    # reads T^k a / k! off its Taylor shifts.  T^k a is nonzero for every
+    # a but the vacuum, where T|0> = 0
+    fam = _family(3, 2)
+    assert len(fam) > 150 and VACUUM_MON in fam
+    for am in fam:
         want = _wick_oracle(am, VACUUM_MON, -5)
         for n in range(-5, 0):
             got = nth_product({am: 1}, n, VACUUM)
             assert got == want.get(n, {}), (am, n)
-            assert got
+            assert got or (am == VACUUM_MON and n < -1)
 
 
-def test_one_mode_operators_in_closed_form():
+def test_one_mode_operators_against_the_closed_form_oracle():
     # u_(m)|0> is d^k u / k! with k = -1 - m, so its n-th product is
-    # (-1)^k C(n, k) u_(n-k): checked against the mode action
+    # (-1)^k C(n, k) u_(n-k): an oracle, from the mode action alone, for
+    # the recursion, which reaches these operators through the vacuum
+    # column and the contractions of u with b
     fam = _family(2, 1)
     for u in (BETA, GAMMA, B, C):
         for m in range(-4, 0):

@@ -180,7 +180,7 @@ def test_check_rejects_a_perturbed_fraction_state(monkeypatch):
 
 def test_state_product_check_memo_stays_small(empty_memo):
     # the check of every block through weight 7 from a fresh product
-    # memo stores 5,057 products, 1,022 of them zero
+    # memo stores 5,749 products, 1,577 of them zero
     for k in range(8):
         for l in charge_range(k):
             invariants(k, l)
