@@ -132,9 +132,9 @@ def normalize(modes, coeff=1):
     Returns a state: empty if an odd mode repeats, else one monomial with
     the Koszul sign from permuting odd modes past each other.  The modes
     act on the vacuum right to left through apply_mode.  Every mode is
-    checked before any is applied, as check_monomial checks a mode: an
-    index that is not an int raises TypeError, an unknown generator or
-    an index above -1 ValueError.
+    checked before any is applied, as check_monomial checks a mode: a
+    generator or an index that is not an int raises TypeError, an
+    unknown generator or an index above -1 ValueError.
     """
     for mode in modes:
         check_monomial((mode,))
@@ -244,12 +244,15 @@ _parities = []   # id -> parity
 
 def check_monomial(mon, stop=None):
     """Raise ValueError unless mon is normally ordered: creation modes of
-    the four generators, sorted, with no odd mode repeated; an index that
-    is not an int raises TypeError.  With stop, only mon[:stop] is
+    the four generators, sorted, with no odd mode repeated; a generator
+    whose type is not exactly int (a bool or a float too) or an index
+    that is not an int raises TypeError.  With stop, only mon[:stop] is
     checked."""
     prev = None
     for mode in mon[:stop]:
         gen, idx = mode
+        if type(gen) is not int:
+            raise TypeError("generators are int, not %s" % type(gen).__name__)
         check_int(idx, "mode indices")
         if gen not in _GENS or idx > -1:
             raise ValueError("not a creation mode: %r in %r" % (mode, mon))

@@ -18,6 +18,25 @@ same routines serve Q and the integers mod p:
   zeros at the other free columns and its last nonzero at f.  In column
   order, {v_f} is the reduced-echelon kernel basis.
 
+A field is given to these routines as three functions, (inverse, add,
+reduce).  Over Q (`_RATIONALS`), add is freefield.sadd, which drops the
+entries that vanish, and reduce is the identity.  Mod p (`_field_mod`),
+the reduction is delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK, *ACM
+TOMS* 35(3), 2008): add(row, pivot_row, f) reduces f alone and sets
+row[c] = row.get(c, 0) + f * v, with no % p and no zero test per entry,
+and reduce(x) = x % p runs only where a value is read.  In the
+elimination a row holds a column only if its entry there reduces to
+nonzero, and an entry that reduces to 0 is dropped at that test; each
+pivot row is scaled and fully reduced; the eliminated entry is deleted.
+The back-solve and the Gauss-Jordan step of the canonical kernel
+accumulate the same way and reduce each finished vector once.  f and
+every pivot entry lie in [0, p), so each update adds less than p^2 <
+2^122, and an entry that u updates touched stays below u * 2^122 + p:
+an exact int, never a wrong residue.  The residues handed to CRT lie in
+[0, p) and are the ones that reducing at every update gives, since the
+reduced echelon kernel mod p is unique; and whatever the residues, a
+lift is only returned once M v = 0 holds in exact integer arithmetic.
+
 Kernel bases are computed modulo the fixed primes `PRIMES` (the eight
 largest primes <= 2^61 - 1) and lifted back to the rationals
 (multimodular echelon forms, Stein, *Modular Forms*, ch. 7):
@@ -47,7 +66,8 @@ out, after at most eight modular eliminations (every prime divides a
 pivot, or a kernel entry is too large to reconstruct from all of them),
 the same routines run over Q on the same integer rows instead; scaling
 rows leaves the kernel unchanged.  Kernel vector entries are int when
-integral and Fraction otherwise.
+integral and Fraction otherwise; a lift with common denominator 1 builds
+its entries as ints, without a Fraction.
 """
 
 from __future__ import annotations
@@ -110,7 +130,7 @@ def kernel_basis(m: Matrix):
     basis = _modular_kernel(rows, m.cols)
     if basis is None:
         basis = [_vector(m.cols, v.items())
-                 for _, v in _field_kernel(rows, m.cols, _inverse, sadd)]
+                 for _, v in _field_kernel(rows, m.cols, *_RATIONALS)]
     return basis
 
 
@@ -150,7 +170,7 @@ def _modular_kernel(int_rows, ncols):
     modulus = 1
     vectors = []  # per free column, {col: residue mod modulus}
     for p in PRIMES:
-        residues = [{c: x % p for c, x in row.items() if x % p}
+        residues = [{c: y for c, x in row.items() if (y := x % p)}
                     for row in int_rows]
         canonical = _field_kernel(residues, ncols, *_field_mod(p))
         key = (len(canonical), [-f for f, _ in canonical])
@@ -170,54 +190,72 @@ def _modular_kernel(int_rows, ncols):
                                                 len(int_rows)):
                 break
             nums, den = lifted
-            basis.append(_vector(ncols, ((c, Fraction(n, den))
-                                         for c, n in nums.items())))
+            basis.append(_vector(ncols, nums.items() if den == 1 else
+                                 ((c, Fraction(n, den))
+                                  for c, n in nums.items())))
         else:
             return basis
     return None
 
 
-def _field_kernel(rows, ncols, inverse, add):
+def _field_kernel(rows, ncols, inverse, add, reduce):
     """The canonical kernel [(f, v_f), ...] of rows ({col: entry},
-    changed in place) over the field given by inverse(x) and add(row,
-    pivot_row, f), which sets row += f * pivot_row, drops entries that
-    vanish and returns row (freefield.sadd over Q)."""
+    changed in place) over a field given by three functions: inverse(x);
+    add(row, pivot_row, f), which sets row += f * pivot_row and returns
+    row; and reduce(x), which takes an entry that add left behind to its
+    canonical value (_RATIONALS over Q, _field_mod(p) mod p)."""
     count = Counter(c for row in rows for c in row)
     order = sorted(count, key=lambda c: (count[c], c))
-    triangular = list(_eliminate(rows, order, inverse, add))
-    return _canonical_kernel(_kernel(triangular, ncols, add), ncols,
-                             inverse, add)
+    triangular = list(_eliminate(rows, order, inverse, add, reduce))
+    return _canonical_kernel(_kernel(triangular, ncols, add, reduce), ncols,
+                             inverse, add, reduce)
 
 
-def _eliminate(rows, order, inverse, add):
+def _reduced(row, reduce):
+    """row ({col: entry}) with every entry reduced, the zeros dropped."""
+    return {c: y for c, x in row.items() if (y := reduce(x))}
+
+
+def _eliminate(rows, order, inverse, add, reduce):
     """Forward elimination of rows ({col: entry}, changed in place),
     taking the columns in the given order.  Each column pivots on its
     sparsest holder among the rows not yet pivoted (the first on a tie)
-    and is eliminated from the other holders.  Yields (col, pivot row
-    scaled to 1 at col) in pivot order; a pivot row holds no earlier
-    pivot column."""
+    and is eliminated from the other holders.  A row holds col when its
+    entry there reduces to nonzero; one that reduces to zero is dropped
+    at that test.  Yields (col, pivot row scaled to 1 at col and
+    reduced) in pivot order; a pivot row holds no earlier pivot
+    column."""
     rows = [r for r in rows if r]
     for col in order:
         if not rows:
             return
-        holders = [r for r in rows if col in r]
+        holders = []
+        for r in rows:
+            if col in r:
+                if reduce(r[col]):
+                    holders.append(r)
+                else:
+                    del r[col]
         if not holders:
             continue
         chosen = min(holders, key=len)
-        pivot_row = add({}, chosen, inverse(chosen[col]))
+        inv = inverse(chosen[col])
+        pivot_row = {c: y for c, x in chosen.items() if (y := reduce(inv * x))}
         for r in holders:
             if r is not chosen:
                 add(r, pivot_row, -r[col])
+                r.pop(col, None)
         rows = [r for r in rows if r and r is not chosen]
         yield col, pivot_row
 
 
-def _kernel(triangular, ncols, add):
+def _kernel(triangular, ncols, add, reduce):
     """A kernel basis of the (col, pivot row) list of _eliminate, one
-    vector {col: entry} per non-pivot column g, with a 1 at g and zeros
-    at the other non-pivot columns.  The pivot entries are back-solved
-    last pivot first, for all the vectors at once: x[c] maps g to the
-    entry at c of the vector of g."""
+    reduced vector {col: entry} per non-pivot column g, with a 1 at g
+    and zeros at the other non-pivot columns.  The pivot entries are
+    back-solved last pivot first, for all the vectors at once: x[c] maps
+    g to the entry at c of the vector of g, accumulated and then reduced
+    once."""
     pivots = {col for col, _ in triangular}
     free = [g for g in range(ncols) if g not in pivots]
     x = {g: {g: 1} for g in free}
@@ -226,7 +264,7 @@ def _kernel(triangular, ncols, add):
         for c, a in row.items():
             if c != col:
                 add(xc, x[c], -a)
-        x[col] = xc
+        x[col] = _reduced(xc, reduce)
     basis = {g: {} for g in free}
     for c, xc in x.items():
         for g, v in xc.items():
@@ -234,45 +272,61 @@ def _kernel(triangular, ncols, add):
     return list(basis.values())
 
 
-def _canonical_kernel(basis, ncols, inverse, add):
+def _canonical_kernel(basis, ncols, inverse, add, reduce):
     """The reduced echelon form of a kernel basis ({col: entry}, changed
     in place) with the columns in reverse order, as [(f, v_f), ...] in
     column order: v_f has a 1 at f, zeros at the other f and its last
-    nonzero at f.  Gauss-Jordan: each new pivot column is also
-    eliminated from the pivot rows taken before it."""
+    nonzero at f, every entry reduced.  Gauss-Jordan: each new pivot
+    column is also eliminated from the pivot rows taken before it, which
+    are reduced once at the end."""
     reduced = []
     for col, pivot_row in _eliminate(basis, range(ncols - 1, -1, -1),
-                                     inverse, add):
+                                     inverse, add, reduce):
         for _, r in reduced:
-            f = r.get(col)
-            if f:
-                add(r, pivot_row, -f)
+            if col in r:
+                f = reduce(r[col])
+                if f:
+                    add(r, pivot_row, -f)
+                r.pop(col, None)
         reduced.append((col, pivot_row))
     reduced.reverse()
-    return reduced
+    return [(col, _reduced(r, reduce)) for col, r in reduced]
 
 
 def _inverse(x):
     return 1 / Fraction(x)
 
 
+def _same(x):
+    return x
+
+
+# (inverse, add, reduce) of _field_kernel over Q: sadd drops the entries
+# that vanish, so there is nothing left to reduce
+_RATIONALS = (_inverse, sadd, _same)
+
+
 def _field_mod(p):
-    """(inverse, add) of _field_kernel for the integers mod the prime p."""
+    """(inverse, add, reduce) of _field_kernel for the integers mod the
+    prime p.  add reduces only f: an entry it updates grows by f * v <
+    p^2 for a reduced pivot entry v, and reduce takes it back to [0, p)
+    where it is read."""
 
     def inverse(x):
         return pow(x, -1, p)
 
     def add(row, pivot_row, f):
-        """row += f * pivot_row mod p, dropping entries that vanish."""
+        """row += (f mod p) * pivot_row, unreduced."""
+        f %= p
+        get = row.get
         for c, v in pivot_row.items():
-            w = (row.get(c, 0) + f * v) % p
-            if w:
-                row[c] = w
-            else:
-                row.pop(c, None)
+            row[c] = get(c, 0) + f * v
         return row
 
-    return inverse, add
+    def reduce(x):
+        return x % p
+
+    return inverse, add, reduce
 
 
 def _crt(a, m, b, p):

@@ -51,6 +51,11 @@ HZERO_G3_K8_SHA256 = (
 INVARIANTS_8_0_BASIS_SHA256 = (
     "ee66d155dbe78da3d3727ca096da475f85cf32bd98c1b69b9f30e6b5b99ceb8b")
 
+# sha256 of the `invariants --weight 10 --charge 1 --basis` stdout: dim 21,
+# with 7,296 Fraction coefficients, lifted by CRT from two primes
+INVARIANTS_10_1_BASIS_SHA256 = (
+    "494583c427e1fae4919b62ba50b6a89678efad6894e585b03032ae0ad79c539d")
+
 HZERO_G2_K1_CSV = """\
 k,l,dim
 0,0,1
@@ -219,6 +224,18 @@ def test_invariants_weight_8_basis_stdout_fixture(capsys):
     assert out.startswith("dim 25\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         INVARIANTS_8_0_BASIS_SHA256)
+
+
+def test_invariants_weight_10_basis_stdout_fixture(capsys):
+    # the one byte check whose kernel crosses the CRT lift: block (10, 1)
+    # needs two primes
+    rc, out = run(["invariants", "--weight", "10", "--charge", "1",
+                   "--basis"], capsys)
+    assert rc == 0
+    assert out.startswith("dim 21\n")
+    assert out.count("/") == 7296
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        INVARIANTS_10_1_BASIS_SHA256)
 
 
 def _diagonal_counts(kmax):

@@ -50,6 +50,24 @@ def test_normalize_rejects_annihilation_modes_in_any_position():
         normalize([(BETA, 0), (B, -1), (B, -1)])
 
 
+def test_normalize_rejects_a_non_int_generator():
+    # True equals GAMMA and 0.0 equals BETA, hash for hash, so a
+    # membership test of the generator set let them through: the bool
+    # came back inside a monomial, the float failed later on PARITY[gen]
+    for gen in (True, False, 0.0, 3.0, Fraction(1)):
+        with pytest.raises(TypeError, match="generators are int"):
+            normalize([(gen, -1)])
+        with pytest.raises(TypeError, match="generators are int"):
+            check_monomial(((gen, -1),))
+    # the check runs on every mode before any is applied
+    with pytest.raises(TypeError, match="generators are int"):
+        normalize([(BETA, -1), (True, -2)])
+    # an unknown int generator stays a ValueError
+    for gen in (-1, 4):
+        with pytest.raises(ValueError, match="not a creation mode"):
+            normalize([(gen, -1)])
+
+
 def _normalize_oracle(modes, coeff):
     """Sort the modes; the sign is (-1)^(odd-odd inversions), and the
     state is zero if an odd mode repeats."""

@@ -5,7 +5,7 @@ from math import isqrt, prod
 import pytest
 
 from chiral import linalg
-from chiral.basis import charges
+from chiral.basis import charges, grades
 from chiral.chart import ChartFn, I
 from chiral.freefield import sadd
 from chiral.linalg import Matrix, kernel_basis
@@ -259,11 +259,11 @@ def spy_eliminations(monkeypatch):
     calls = []
     eliminate = linalg._eliminate
 
-    def spy(rows, order, inverse, add):
+    def spy(rows, order, inverse, add, reduce):
         order = list(order)
         pivots = []
         calls.append((order, add, pivots))
-        for col, row in eliminate(rows, order, inverse, add):
+        for col, row in eliminate(rows, order, inverse, add, reduce):
             pivots.append(col)
             yield col, row
 
@@ -306,6 +306,44 @@ def test_kernel_random_sparse_in_count_order(monkeypatch):
     assert reordered >= 100
 
 
+def test_fill_in_that_cancels_mod_p_does_not_pivot(monkeypatch):
+    # row 1 minus twice row 0 cancels over Q.  Mod p the row update is not
+    # reduced, so it leaves a nonzero multiple of p at column 1, which the
+    # elimination must read as zero: mod p it pivots on the columns it
+    # pivots on over Q
+    rows = [[1, 2], [2, 4]]
+    calls = spy_eliminations(monkeypatch)
+    check_against_oracle(rows, 2)
+    modular = [(order, pivots) for order, _, pivots in calls]
+    calls.clear()
+    monkeypatch.setattr(linalg, "_modular_kernel", lambda int_rows, ncols: None)
+    check_against_oracle(rows, 2)
+    exact = [(order, pivots) for order, _, pivots in calls]
+    # the elimination of M, then the canonical step on its kernel
+    assert modular == exact == [([0, 1], [0]), ([1, 0], [1])]
+
+
+def test_residues_handed_to_the_lift_are_reduced(monkeypatch):
+    # the row updates mod p leave entries far above p; every residue that
+    # reaches CRT and rational reconstruction lies in [0, modulus)
+    lift = linalg._lift
+    seen = []
+
+    def spy(residues, modulus, bound):
+        residues = list(residues)
+        seen.append(modulus)
+        assert all(0 <= x < modulus for _, x in residues)
+        return lift(residues, modulus, bound)
+
+    monkeypatch.setattr(linalg, "_lift", spy)
+    rng = random.Random(20261020)
+    for _ in range(40):
+        check_against_oracle(*random_rank_deficient(rng, 10, 12, min_size=4))
+    # the matrix of test_kernel_needs_two_primes, lifted from two primes
+    check_against_oracle([[3**28, 2**50 + 1, 0], [0, 1, 1]], 3)
+    assert P61 in seen and P61 * linalg.PRIMES[1] in seen
+
+
 def residue(x, p):
     return x.numerator * pow(x.denominator, -1, p) % p
 
@@ -315,7 +353,7 @@ def test_canonical_kernel_of_a_recombined_basis():
     # random invertible matrix, canonicalizes back to the reduced echelon
     # basis, over Q and mod p
     rng = random.Random(71)
-    fields = (("Q", linalg._inverse, sadd, lambda x: x),
+    fields = (("Q", *linalg._RATIONALS, lambda x: x),
               ("mod p", *linalg._field_mod(P61), lambda x: residue(x, P61)))
     for _ in range(60):
         rows, ncols = random_rank_deficient(rng, 8, 10)
@@ -332,10 +370,11 @@ def test_canonical_kernel_of_a_recombined_basis():
         rng.shuffle(mix)
         mixed = [[sum(a * vec[c] for a, vec in zip(coeffs, expected))
                   for c in range(ncols)] for coeffs in mix]
-        for name, inverse, add, convert in fields:
+        for name, inverse, add, reduce, convert in fields:
             basis = [{c: convert(x) for c, x in enumerate(vec) if convert(x)}
                      for vec in mixed]
-            canonical = linalg._canonical_kernel(basis, ncols, inverse, add)
+            canonical = linalg._canonical_kernel(basis, ncols, inverse, add,
+                                                 reduce)
             want = [{c: convert(x) for c, x in enumerate(vec) if x}
                     for vec in expected]
             assert [v for _, v in canonical] == want, name
@@ -349,9 +388,10 @@ def typed_states(states):
 
 
 def test_exact_path_matches_modular_on_invariant_blocks(monkeypatch):
-    # every invariant block through weight 6, once through the modular
-    # path and once with it declining, so the exact elimination over Q runs
-    blocks = [(k, l) for k in range(7) for l in charges(k)]
+    # every invariant block through weight 7 (the blocks of perfbench's
+    # character_table), once through the modular path and once with it
+    # declining, so the exact elimination over Q runs
+    blocks = [(k, l) for k in range(8) for l in charges(k)]
     modular = {kl: typed_states(invariants(*kl).states)
                for kl in blocks}
     declined = []
@@ -363,7 +403,7 @@ def test_exact_path_matches_modular_on_invariant_blocks(monkeypatch):
     monkeypatch.setattr(linalg, "_modular_kernel", decline)
     for kl in blocks:
         assert typed_states(invariants(*kl).states) == modular[kl]
-    assert len(declined) == 25  # one per nonempty diagonal block
+    assert len(declined) == 31  # one per nonempty diagonal block
 
 
 def test_exact_path_pivots_in_count_order(monkeypatch):
@@ -383,3 +423,38 @@ def test_exact_path_pivots_in_count_order(monkeypatch):
     assert pivots == [3, 1, 2]
     assert canon_order == [4, 3, 2, 1, 0]
     assert canon_pivots == [4, 3]
+
+
+def count_primes(monkeypatch):
+    """Record, for every kernel the modular path is asked for, [the
+    number of primes it eliminated mod, whether it fell back to Q]."""
+    calls = []
+    field_mod, modular_kernel = linalg._field_mod, linalg._modular_kernel
+
+    def spy_modular_kernel(int_rows, ncols):
+        calls.append([0, False])
+        basis = modular_kernel(int_rows, ncols)
+        calls[-1][1] = basis is None
+        return basis
+
+    def spy_field_mod(p):
+        calls[-1][0] += 1
+        return field_mod(p)
+
+    monkeypatch.setattr(linalg, "_modular_kernel", spy_modular_kernel)
+    monkeypatch.setattr(linalg, "_field_mod", spy_field_mod)
+    return calls
+
+
+def test_invariant_blocks_take_one_prime_through_weight_9(monkeypatch):
+    # no invariant block through weight 9 falls back to Q or takes a
+    # second prime, and block (10, 1) takes exactly two; frozen from the
+    # kernel whose row updates reduced every entry mod p
+    calls = count_primes(monkeypatch)
+    for kl in grades(9):
+        invariants(*kl)
+    assert len(calls) == 44  # one per nonempty diagonal block
+    assert all(c == [1, False] for c in calls)
+    calls.clear()
+    invariants(10, 1)
+    assert calls == [[2, False]]
