@@ -102,10 +102,6 @@ class ChartFn:
         return ChartFn({(0, 0): c})
 
     @staticmethod
-    def u_pow(n, coeff=1) -> "ChartFn":
-        return ChartFn({(n, 0): coeff})
-
-    @staticmethod
     def v_pow(n, coeff=1) -> "ChartFn":
         return ChartFn({(0, n): coeff})
 
@@ -193,16 +189,6 @@ class ChartFn:
         return _wrap({k: v * p for k, v in nums.items()}, den)
 
     __rmul__ = scale
-
-    def d_u(self) -> "ChartFn":
-        return _reduced({(du - 1, dv, w): c * du
-                         for (du, dv, w), c in self._nums.items() if du},
-                        self._den)
-
-    def d_v(self) -> "ChartFn":
-        return _reduced({(du, dv - 1, w): c * dv
-                         for (du, dv, w), c in self._nums.items() if dv},
-                        self._den)
 
     def d_gamma(self) -> "ChartFn":
         """d/du + d/dv in one pass over the terms and one reduction."""

@@ -27,8 +27,10 @@ returns that single term, or None, and finds it by binary search on the
 sorted tuple.  apply_mode, apply_word, normalize and translate are built
 on it and keep no memo; apply_word sends each monomial of a state
 through the whole word on its own.  Outside the product engine's own
-tables on ids, the one memo of mode action is the per-monomial image
-memo of each chiral.modeops.ModeOperator.  sadd is the one sparse add;
+tables on ids, mode action is memoised in two places: the per-monomial
+image memo of each chiral.modeops.ModeOperator, and chiral.geometry's
+memo of the n1 image of a monomial (_n1_image), which combines the
+images of two such operators with one beta_(0).  sadd is the one sparse add;
 it also does chiral.linalg's row updates over Q.
 
 The n-th product of two monomials is computed by the commutator formula
@@ -100,9 +102,10 @@ VACUUM = {VACUUM_MON: 1}
 
 
 def check_int(x, what):
-    """Raise TypeError unless x is an int; what names the values in the
+    """Raise TypeError unless x is an int and not a bool (a bool would
+    hash and compare equal to 0 or 1); what names the values in the
     message, e.g. "weights" gives "weights are int, not float"."""
-    if not isinstance(x, int):
+    if type(x) is not int:
         raise TypeError("%s are int, not %s" % (what, type(x).__name__))
 
 
@@ -245,14 +248,13 @@ _parities = []   # id -> parity
 def check_monomial(mon, stop=None):
     """Raise ValueError unless mon is normally ordered: creation modes of
     the four generators, sorted, with no odd mode repeated; a generator
-    whose type is not exactly int (a bool or a float too) or an index
-    that is not an int raises TypeError.  With stop, only mon[:stop] is
+    or an index that is not exactly an int (a bool or a float too)
+    raises TypeError, through check_int.  With stop, only mon[:stop] is
     checked."""
     prev = None
     for mode in mon[:stop]:
         gen, idx = mode
-        if type(gen) is not int:
-            raise TypeError("generators are int, not %s" % type(gen).__name__)
+        check_int(gen, "generators")
         check_int(idx, "mode indices")
         if gen not in _GENS or idx > -1:
             raise ValueError("not a creation mode: %r in %r" % (mode, mon))

@@ -38,6 +38,28 @@ section by the exact recursion
 
     a_{s-t} = -(t (l-s) + t(t-1)/2)^{-1} dbar_star(f1 a_{s-t+1} + f2 a_{s-t+2}).
 
+On the l = s block every constant section A (x) 1 is closed for
+dbar_prime and f2, so it is global exactly when n1 kills A.  On
+gamma_(-1)-free states, the positive sector, n1 is (1/2) Lplus(2) of
+chiral.sl2, since
+
+    2 n1 - Lplus(2) = 2 (::gtilde c: b: + ::gtilde b: c:)_(0)
+                      - :gtilde gtilde:_(-1) beta_(0).
+
+beta_(0) acts only by contracting gamma_(-1), so the last term kills
+the positive sector.  The first zero mode vanishes on every state:
+gtilde contracts with neither b nor c, so its modes commute with theirs
+and ::gtilde x: y:_(0) = sum_p gtilde_(p) :xy:_(-p-1) for {x, y} =
+{b, c}.  (Expanding both sides, the two normal orders of the bc modes
+split at different places, and the terms between the splits differ by
+{c_(r), b_(t)} with r + t = -p - 2, which is nonzero only at p = -1,
+where the splits coincide.)  And :cb:_(n) = -:bc:_(n) for every n, by
+the same count with r + t = n - 1: the terms that differ are those with
+0 <= r < n, or n <= r < 0, and none of their brackets fires, since
+r + t + 1 = n is zero only when that range is empty.  So the case-3
+states are the sl2 invariants; case3_kernel checks the identity on each
+block monomial and eliminates once (see there).
+
 dim_global assembles the global-section dimension of a [k, l] block over
 a closed curve of genus >= 2 from the invariant space, the s-block counts
 and h0_canonical, the classical section count of canonical powers.
@@ -51,7 +73,7 @@ from functools import cache
 from .basis import basis_block, enumerate_basis, mon_scount, split_by_s
 from .chart import ChartFn, I, metric_data
 from .freefield import (BETA, GAMMA, B, C, apply_mode, check_int, mon_charge,
-                        mon_weight, sadd)
+                        mon_str, mon_weight, sadd, sscale)
 from .modeops import ModeOperator, pair
 from .sl2 import invariants, kernel_states, sl2_Lplus
 
@@ -147,7 +169,6 @@ class FormSection:
         return {(mon_weight(m), mon_charge(m), mon_scount(m)) for m in mons}
 
     def __repr__(self):
-        from .freefield import mon_str
         bits = []
         for m in sorted(self.deg0):
             bits.append("[%s](x)%r" % (mon_str(m), self.deg0[m]))
@@ -321,17 +342,27 @@ def chain_residuals(chain):
 
 
 def case3_kernel(k, s):
-    """Basis of the f1-kernel on the l = s block: the constant sections
-    over these states are closed for the total differential.  Checks the
-    mode-word kernel against the sl2 route before returning."""
+    """Basis of the n1-kernel on the l = s block: the constant sections
+    over these states are closed for the total differential.
+
+    The block is gamma_(-1)-free, where n1 is (1/2) Lplus(2) (module
+    docstring), so the kernel is the invariant space invariants(k, s).
+    Before eliminating, the n1 image of each block monomial is compared
+    with (1/2) Lplus(2) of it, and a mismatch raises ArithmeticError
+    naming the monomial and the block.  Equal maps have equal kernels,
+    so one elimination, of the n1 images, serves both operators, and a
+    wrong n1 is caught even where its kernel happens to be right.  Each
+    kernel state must then give a closed constant section, else
+    ArithmeticError."""
     block = basis_block(k, s, s)
     if not block:
         return []
-    states = kernel_states(block, [n1_fiber({m: 1}) for m in block])
-    via_sl2 = kernel_states(block, [sl2_Lplus(2, {m: 1}) for m in block])
-    if states != via_sl2:
-        raise ArithmeticError(
-            "fiber-operator kernel disagrees with sl2 kernel at (%d, %d)" % (k, s))
+    images = [_n1_image(m) for m in block]
+    for m, img in zip(block, images):
+        if img != sscale(sl2_Lplus(2, {m: 1}), Fraction(1, 2)):
+            raise ArithmeticError("n1 != Lplus(2)/2 on %s at (%d, %d)"
+                                  % (mon_str(m), k, s))
+    states = kernel_states(block, images)
     for st in states:
         sec = _section({m: ChartFn.const(c) for m, c in st.items()}, {})
         if f2(sec) or dbar_prime(sec) or dbar_total(sec):

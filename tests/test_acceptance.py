@@ -141,8 +141,11 @@ def test_diagonal_blocks_flat_and_kernels_agree_weight3():
                 sec = FormSection(deg0={mon: ChartFn.const(1)})
                 assert not f2(sec)
                 assert not dbar_prime(sec)
-            # case3_kernel raises if its two kernel routes disagree
-            for st in case3_kernel(k, s):
+            # case3_kernel raises unless n1 = (1/2) Lplus(2) on every
+            # block monomial, and its kernel is then the sl2 kernel
+            states = case3_kernel(k, s)
+            assert states == list(invariants(k, s).states)
+            for st in states:
                 sec = FormSection(deg0={m: ChartFn.const(c)
                                         for m, c in st.items()})
                 assert not dbar_total(sec)

@@ -5,8 +5,10 @@ import pytest
 from chiral import basis, case3_kernel, character, dim_global, invariants
 from chiral.basis import (basis_block, charges, enumerate_basis,
                           enumerate_full, grades, mon_scount, split_by_s)
+from chiral.chart import ChartFn
 from chiral.freefield import (BETA, GAMMA, B, C, mon_charge, mon_weight,
-                              VACUUM_MON)
+                              nth_product, VACUUM_MON)
+from chiral.modeops import mode_words
 
 
 def test_small_blocks_exhaustive():
@@ -122,6 +124,24 @@ def test_weights_and_charges_are_int_wherever_they_enter_the_basis():
     for what, calls in rejected.items():
         for call in calls:
             with pytest.raises(TypeError, match="%s are int, not float" % what):
+                call()
+
+
+def test_bools_are_refused_wherever_an_int_is_checked():
+    # True == 1 and hashes alike, so without the check a bool weight
+    # would read the cached int block, and a bool index act as 0 or 1
+    enumerate_basis(1, 0)
+    rejected = {
+        "weights": (lambda: invariants(True, 0),
+                    lambda: enumerate_basis(True, False)),
+        "mode indices": (lambda: mode_words("beta", False, 3),),
+        "product indices": (lambda: nth_product({((BETA, -1),): 1}, True,
+                                                {((GAMMA, -2),): 1}),),
+        "u-degrees": (lambda: ChartFn({(True, 0): 1}),),
+    }
+    for what, calls in rejected.items():
+        for call in calls:
+            with pytest.raises(TypeError, match="%s are int, not bool" % what):
                 call()
 
 

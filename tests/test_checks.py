@@ -207,6 +207,30 @@ def test_geometry_sweep_catches_a_wrong_s_minus_l_count(monkeypatch):
         "19a8f13eac321fe3a7f6159656c3930b6c035711a07468ca92802edd459e1676")
 
 
+def test_geometry_sweep_catches_a_wrong_n1(monkeypatch):
+    # plant 1/3 for the 1/2 of n1's ::gtilde gtilde: beta: term: n1 is
+    # then not (1/2) Lplus(2), and case3_kernel reports the first block
+    # monomial where the two differ, on 6 blocks through weight 3.  A
+    # comparison of the two kernels sees only 3 of them: at (2, 1),
+    # (3, 1) and (3, 2) the wrong map keeps the right kernel.  The
+    # weight-0 sweep runs no recursion, so only the case-3 check sees
+    # n1.  _n1_image memoises its images: clear it around the plant
+    monkeypatch.setattr(geometry, "_N1_RAT", ModeOperator([
+        (1, pair(pair("gtilde", "c"), "b"), 0),
+        (Fraction(1, 3), pair(pair("gtilde", "gtilde"), "beta"), 0)]))
+    geometry._n1_image.cache_clear()
+    try:
+        fails = geometry_failures(kmax=0, case3_kmax=3)
+    finally:
+        monkeypatch.undo()
+        geometry._n1_image.cache_clear()
+    assert len(fails) == 6
+    assert fails[1] == ("case-3 kernel check failed at (2,1): "
+                        "n1 != Lplus(2)/2 on beta(-2) c(-1) at (2, 1)")
+    assert _digest(fails) == (
+        "b426c78570ceb9603474a897bb93c8cc354bc35d59ac3f07d139583877e5b357")
+
+
 def _curvature_failures(wrong):
     """The curvature failures of the weight <= 2 sweep, in sweep order,
     on the monomials where wrong(l, s, mon) holds."""

@@ -4,14 +4,17 @@ from itertools import product
 
 import pytest
 
-from chiral.basis import basis_block, charges, enumerate_basis, mon_scount
+from chiral.basis import (basis_block, charges, enumerate_basis,
+                          enumerate_full, grades, mon_scount)
 from chiral.chart import ChartFn, I, metric_data
-from chiral.freefield import BETA, GAMMA, B, C, mon_charge, mon_str, mon_weight
+from chiral.freefield import (BETA, GAMMA, B, C, apply_mode, mon_charge,
+                              mon_str, mon_weight, sadd, sscale)
 from chiral.geometry import (FormSection, case3_kernel, chain_residuals,
                              curvature_op, dbar_prime, dbar_star, dbar_total,
                              f1, f2, n1_fiber, nabla_gamma, seed_section,
                              solve_recursion)
-from chiral.sl2 import invariants
+from chiral.modeops import ModeOperator, pair
+from chiral.sl2 import invariants, sl2_Lplus
 
 ONE_FN = ChartFn.const(1)
 
@@ -43,7 +46,7 @@ def test_dbar_prime_rules():
 
 
 def test_nabla_gamma_is_coefficientwise():
-    sec = FormSection(deg0={((B, -1),): ChartFn.u_pow(1)},
+    sec = FormSection(deg0={((B, -1),): ChartFn({(1, 0): 1})},
                       deg1={((C, -1),): ChartFn.v_pow(2)})
     out = nabla_gamma(sec)
     assert out.deg0 == {((B, -1),): ONE_FN}
@@ -51,7 +54,7 @@ def test_nabla_gamma_is_coefficientwise():
 
 
 def test_dbar_star():
-    sec = FormSection(deg1={(): ChartFn.u_pow(1)})
+    sec = FormSection(deg1={(): ChartFn({(1, 0): 1})})
     assert dbar_star(sec).deg0 == {(): ChartFn.v_pow(2, Fraction(1, 2))}
     assert not dbar_star(FormSection(deg1={(): ONE_FN}))
     with pytest.raises(ValueError):
@@ -69,12 +72,12 @@ def test_n1_fiber_oracle():
 def test_f2_oracle():
     # hand mode sum: (gtilde^2)_(-1) beta_(-1) = -2 gamma_(-2), and the
     # coefficient is (Im gamma)^2 d_gamma(u) = -v^2/4
-    img = f2(FormSection(deg0={((BETA, -1),): ChartFn.u_pow(1)}))
+    img = f2(FormSection(deg0={((BETA, -1),): ChartFn({(1, 0): 1})}))
     assert img.deg1 == {((GAMMA, -2),): ChartFn.v_pow(2, Fraction(1, 2))}
     # constant coefficients are killed by the derivative
     assert not f2(FormSection(deg0={((BETA, -1),): ONE_FN}))
     # the fiber operator kills the vacuum regardless of coefficient
-    assert not f2(FormSection(deg0={(): ChartFn.u_pow(3)}))
+    assert not f2(FormSection(deg0={(): ChartFn({(3, 0): 1})}))
 
 
 def test_f_operators_drop_s():
@@ -90,7 +93,7 @@ def test_f_operators_drop_s():
 
 
 def test_curvature_eigenvalue():
-    vac = FormSection(deg0={(): ChartFn.u_pow(1)})
+    vac = FormSection(deg0={(): ChartFn({(1, 0): 1})})
     assert curvature_op(vac) == vac.scale(0)
     c = FormSection(deg0={((C, -1),): ONE_FN})
     assert curvature_op(c) == c
@@ -159,7 +162,7 @@ def test_recursion_sweep_small():
     # every seed with l - s >= 1 through weight 5, bare and times a
     # holomorphic factor u^j: every seed dim_global counts there, not
     # only the l - s in (1, 2) of geometry_failures
-    factors = (None,) + tuple(ChartFn.u_pow(j) for j in (1, 2, 3))
+    factors = (None,) + tuple(ChartFn({(j, 0): 1}) for j in (1, 2, 3))
     chains = 0
     for k in range(6):
         for l in range(-(k + 2), k + 3):
@@ -197,7 +200,7 @@ def test_every_built_section_holds_only_nonzero_chart_coefficients():
     for k in range(4):
         for l in range(-(k + 2), k + 3):
             for mon, g in product(enumerate_basis(k, l),
-                                  (None, ChartFn.u_pow(1))):
+                                  (None, ChartFn({(1, 0): 1}))):
                 if l - mon_scount(mon) < 1:
                     continue
                 seeds += 1
@@ -226,11 +229,41 @@ def test_case3_matches_invariants():
     for k in range(4):
         for s in range(-k, k + 1):
             states = case3_kernel(k, s)
-            assert len(states) == invariants(k, s).dim
+            assert states == list(invariants(k, s).states)
             for st in states:
                 sec = FormSection(deg0={m: ChartFn.const(c)
                                         for m, c in st.items()})
                 assert not dbar_total(sec)
+
+
+def test_n1_is_half_lplus2_up_to_the_beta0_term():
+    # 2 n1 = Lplus(2) - :gtilde gtilde:_(-1) beta_(0) on every state, the
+    # gamma_(-1) powers included; the beta_(0) term is built here, apart
+    # from geometry's own operators
+    gg = ModeOperator([(1, pair("gtilde", "gtilde"), -1)])
+    count = 0
+    for k, l in grades(6):
+        for mon in enumerate_full(k, l, 2):
+            st = {mon: 1}
+            rhs = sl2_Lplus(2, st)
+            sadd(rhs, gg.apply(apply_mode(BETA, 0, st)), -1)
+            assert sscale(n1_fiber(st), 2) == rhs, mon
+            count += 1
+    assert count == 3870
+
+
+def test_n1_is_half_lplus2_on_the_positive_sector():
+    # beta_(0) kills every gamma_(-1)-free monomial, so there n1 is
+    # (1/2) Lplus(2), the identity case3_kernel checks block by block
+    count = 0
+    for k, l in grades(7):
+        for mon in enumerate_basis(k, l):
+            st = {mon: 1}
+            assert not apply_mode(BETA, 0, st)
+            half = sscale(sl2_Lplus(2, st), Fraction(1, 2))
+            assert n1_fiber(st) == half, mon
+            count += 1
+    assert count == 2698
 
 
 def test_case3_block_identities():

@@ -1,7 +1,9 @@
 """Every name a module or test file imports is read by that file, unless
-its line says `# noqa: F401` (a deliberate re-export), and every top-level
+its line says `# noqa: F401` (a deliberate re-export), every top-level
 function or class of the package is read by some package module or
-exported by `chiral/__init__`, so no test-only code lives in `src`."""
+exported by `chiral/__init__`, and every public method of a package
+class is read by some package module, so no test-only code lives in
+`src`."""
 
 import ast
 import os
@@ -27,29 +29,47 @@ def unused_imports(source):
                     yield alias.lineno, name
 
 
+def _reads(node, own):
+    """The names node reads, by name or as an attribute, other than own."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        else:
+            continue
+        if name not in own:
+            yield name
+
+
 def unread_definitions(sources, exported):
     """(module, name) of every top-level def or class in sources (module
-    -> source) that no module reads, by name or as an attribute, outside
-    its own body, and that is not in exported."""
-    defined = []
-    read = set(exported)
+    -> source), and (module, "Class.method") of every public method of
+    such a class, that no module reads, by name or as an attribute,
+    outside its own body, and that is not in exported.  A method is
+    read by its bare name: exporting its class does not export it."""
+    defined = []  # (module, name as shown, name as read)
+    read = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                own = node.name
-                defined.append((module, own))
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    name = sub.attr
-                else:
-                    continue
-                if name != own:
-                    read.add(name)
-    return sorted(d for d in defined if d[1] not in read)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                read.update(_reads(node, ()))
+                continue
+            defined.append((module, node.name, node.name))
+            if not isinstance(node, ast.ClassDef):
+                read.update(_reads(node, (node.name,)))
+                continue
+            for part in (*node.decorator_list, *node.bases, *node.body):
+                own = (node.name,)
+                if (isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not part.name.startswith("_")):
+                    own += (part.name,)
+                    defined.append((module, "%s.%s" % (node.name, part.name),
+                                    part.name))
+                read.update(_reads(part, own))
+    return sorted((module, shown) for module, shown, name in defined
+                  if name not in read and shown not in exported)
 
 
 def test_every_import_is_read():
@@ -98,6 +118,30 @@ def test_the_walk_sees_unread_definitions():
                         "    return a.used()\n")}
     assert unread_definitions(sources, {"Exported"}) == [
         ("a.py", "recursive"), ("b.py", "dead")]
+
+
+def test_the_walk_sees_unread_public_methods():
+    # a method counts as read only by its own name, from outside its own
+    # body: neither exporting its class nor a recursive call keeps it
+    sources = {"a.py": ("class Exported:\n"
+                        "    def used(self):\n"
+                        "        return self._private()\n"
+                        "    def _private(self):\n"
+                        "        return 1\n"
+                        "    def recursive(self, n):\n"
+                        "        return self.recursive(n - 1) if n else 0\n"
+                        "    @staticmethod\n"
+                        "    def unread():\n"
+                        "        return Exported()\n"
+                        "    alias = used\n"
+                        "    def aliased(self):\n"
+                        "        return 2\n"
+                        "    twice = aliased\n"),
+               "b.py": ("from a import Exported\n"
+                        "def main():\n"
+                        "    return Exported().alias()\n")}
+    assert unread_definitions(sources, {"Exported", "main"}) == [
+        ("a.py", "Exported.recursive"), ("a.py", "Exported.unread")]
 
 
 def test_every_name_the_layer_tracer_rebinds_exists():
