@@ -1,22 +1,28 @@
 """Sparse exact linear algebra over the rationals.
 
-Entries are int or Fraction.  A kernel basis takes two steps, and the
-same routines serve Q and the integers mod p:
+Entries are int or Fraction.  One routine, `_echelon`, computes a
+reduced echelon form, and a kernel basis calls it twice; the same
+routines serve Q and the integers mod p:
 
-* Elimination.  `_eliminate` runs forward elimination only, with the
-  columns in a static fill-reducing order: fewest nonzeros first, ties
-  by index (Markowitz 1957; Duff, Erisman and Reid, *Direct Methods for
-  Sparse Matrices*, ch. 7).  Each column pivots on its sparsest holder
-  row, the first such row on a tie, so a sparse pivot row keeps the
-  eliminated rows sparse.  `_kernel` back-solves the triangular pivot
-  rows for one kernel vector per non-pivot column.
-* Canonical kernel.  That basis depends on the pivot order.
-  `_canonical_kernel` takes it to reduced echelon form with the columns
-  in reverse order, a d x n reduction for nullity d.  The result
-  depends on the kernel alone: it is {v_f}, where f runs over the free
-  columns of the reduced row echelon form of M and v_f has a 1 at f,
-  zeros at the other free columns and its last nonzero at f.  In column
-  order, {v_f} is the reduced-echelon kernel basis.
+* `_echelon(rows, order, ...)` runs `_eliminate`'s forward pass with
+  the columns in the given order, each column pivoting on its sparsest
+  holder row, the first such row on a tie, so a sparse pivot row keeps
+  the eliminated rows sparse.  It then back-substitutes, last pivot
+  first: each triangular row is popped off the list, cleared of the
+  later pivot columns by the finished rows, and reduced once.  It
+  returns {pivot col: row}, each row 1 at its pivot and 0 at every
+  other pivot column: the unique reduced echelon form in that order.
+* `_field_kernel` calls it on M with the columns in a static
+  fill-reducing order, fewest nonzeros first, ties by index (Markowitz
+  1957; Duff, Erisman and Reid, *Direct Methods for Sparse Matrices*,
+  ch. 7), and reads one kernel vector per non-pivot column g off the
+  rows R_p: v_g = e_g - sum_p R_p[g] e_p.  That basis depends on the
+  pivot order, so it calls `_echelon` again on the basis with the
+  columns in reverse order, a d x n reduction for nullity d.  The
+  result depends on the kernel alone: it is {v_f}, where f runs over
+  the free columns of the reduced row echelon form of M and v_f has a
+  1 at f, zeros at the other free columns and its last nonzero at f.
+  In column order, {v_f} is the reduced-echelon kernel basis.
 
 A field is given to these routines as three functions, (inverse, add,
 reduce).  Over Q (`_RATIONALS`), add is freefield.sadd, which drops the
@@ -24,18 +30,20 @@ entries that vanish, and reduce is the identity.  Mod p (`_field_mod`),
 the reduction is delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK, *ACM
 TOMS* 35(3), 2008): add(row, pivot_row, f) reduces f alone and sets
 row[c] = row.get(c, 0) + f * v, with no % p and no zero test per entry,
-and reduce(x) = x % p runs only where a value is read.  In the
-elimination a row holds a column only if its entry there reduces to
-nonzero, and an entry that reduces to 0 is dropped at that test; each
-pivot row is scaled and fully reduced; the eliminated entry is deleted.
-The back-solve and the Gauss-Jordan step of the canonical kernel
-accumulate the same way and reduce each finished vector once.  f and
-every pivot entry lie in [0, p), so each update adds less than p^2 <
-2^122, and an entry that u updates touched stays below u * 2^122 + p:
-an exact int, never a wrong residue.  The residues handed to CRT lie in
-[0, p) and are the ones that reducing at every update gives, since the
-reduced echelon kernel mod p is unique; and whatever the residues, a
-lift is only returned once M v = 0 holds in exact integer arithmetic.
+and reduce(x) = x % p runs only where a value is read.  In the forward
+pass a row holds a column only if its entry there reduces to nonzero,
+and an entry that reduces to 0 is dropped at that test; each pivot row
+is scaled and fully reduced; the eliminated entry is deleted.  So the
+kernel basis read off the first form may hold its entries -R_p[g]
+unreduced.  In the back-substitution a row is updated only by finished,
+reduced rows, by the reduced entry it holds at their pivot, and is
+reduced once when it is finished.  f and every pivot-row entry lie in
+[0, p), so each update adds less than p^2 < 2^122, and an entry that u
+updates touched stays below u * 2^122 + p: an exact int, never a wrong
+residue.  The residues handed to CRT lie in [0, p) and are the ones
+that reducing at every update gives, since the reduced echelon form mod
+p is unique; and whatever the residues, a lift is only returned once M
+v = 0 holds in exact integer arithmetic.
 
 Kernel bases are computed modulo the fixed primes `PRIMES` (the eight
 largest primes <= 2^61 - 1) and lifted back to the rationals
@@ -75,32 +83,37 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import index
 
-from .freefield import sadd
+from .freefield import check_int, sadd
 
 # the eight largest primes <= 2^61 - 1, in descending order, written out
 # so that importing the module searches for none
 PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
           2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391)
 
+_SHAPE = "matrix dimensions/indices"
+
 
 class Matrix:
     """Sparse rows x cols matrix; entries maps (row, col) -> int or Fraction.
-    A dimension or index that is not an int raises TypeError (through
-    operator.index), a negative dimension ValueError."""
+    A dimension or index that is not an int, or is a bool, raises
+    TypeError (through check_int), as does a bool entry; a negative
+    dimension raises ValueError."""
 
     def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows = index(rows)
-        self.cols = cols = index(cols)
+        check_int(rows, _SHAPE)
+        check_int(cols, _SHAPE)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions are >= 0, not %dx%d" % (rows, cols))
+        self.rows, self.cols = rows, cols
         self.entries = {}
         if entries:
             for (r, c), v in entries.items():
-                if not (0 <= index(r) < rows and 0 <= index(c) < cols):
+                check_int(r, _SHAPE)
+                check_int(c, _SHAPE)
+                if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
-                if not isinstance(v, (int, Fraction)):
+                if type(v) is bool or not isinstance(v, (int, Fraction)):
                     raise TypeError("matrix entries are int or Fraction, not %s"
                                     % type(v).__name__)
                 if v:
@@ -123,8 +136,9 @@ def kernel_basis(m: Matrix):
     columns <= f.
 
     Computed mod the primes in PRIMES, combined by CRT and certified,
-    else over Q; either way by forward elimination in a fill-reducing
-    column order and one canonicalization of the kernel (see above).
+    else over Q; either way by two reduced echelon forms (_echelon), of
+    m in a fill-reducing column order and of the kernel basis read off
+    it in reverse column order (see above).
     """
     rows = _integer_rows(m)
     basis = _modular_kernel(rows, m.cols)
@@ -203,17 +217,43 @@ def _field_kernel(rows, ncols, inverse, add, reduce):
     changed in place) over a field given by three functions: inverse(x);
     add(row, pivot_row, f), which sets row += f * pivot_row and returns
     row; and reduce(x), which takes an entry that add left behind to its
-    canonical value (_RATIONALS over Q, _field_mod(p) mod p)."""
+    canonical value (_RATIONALS over Q, _field_mod(p) mod p).
+
+    Two calls of _echelon: on rows, with the columns in count order,
+    then on the kernel basis read off its rows R_p, v_g = e_g - sum_p
+    R_p[g] e_p for every non-pivot g, with the columns in reverse order.
+    The entries -R_p[g] are left unreduced, since _eliminate reduces
+    where it reads.  Mod p each back-substitution update of either call
+    adds f * v < p^2 to an entry, f and v reduced."""
     count = Counter(c for row in rows for c in row)
     order = sorted(count, key=lambda c: (count[c], c))
+    echelon = _echelon(rows, order, inverse, add, reduce)
+    basis = {g: {g: 1} for g in range(ncols) if g not in echelon}
+    for col, row in echelon.items():
+        for g, a in row.items():
+            if g != col:
+                basis[g][col] = -a
+    canonical = _echelon(list(basis.values()), range(ncols - 1, -1, -1),
+                         inverse, add, reduce)
+    return list(canonical.items())
+
+
+def _echelon(rows, order, inverse, add, reduce):
+    """The reduced echelon form of rows ({col: entry}, changed in place)
+    with the columns in the given order, as {pivot col: row}, last pivot
+    first: each row has a 1 at its pivot, no entry at another pivot and
+    every entry reduced.  _eliminate's forward pass, then back-
+    substitution: each row is popped off the triangular list, cleared of
+    the later pivots by the finished rows, which hold no other pivot,
+    and reduced once, which drops the cleared entries."""
     triangular = list(_eliminate(rows, order, inverse, add, reduce))
-    return _canonical_kernel(_kernel(triangular, ncols, add, reduce), ncols,
-                             inverse, add, reduce)
-
-
-def _reduced(row, reduce):
-    """row ({col: entry}) with every entry reduced, the zeros dropped."""
-    return {c: y for c, x in row.items() if (y := reduce(x))}
+    echelon = {}
+    while triangular:
+        col, row = triangular.pop()
+        for c in [c for c in row if c in echelon]:
+            add(row, echelon[c], -row[c])
+        echelon[col] = {c: y for c, x in row.items() if (y := reduce(x))}
+    return echelon
 
 
 def _eliminate(rows, order, inverse, add, reduce):
@@ -247,50 +287,6 @@ def _eliminate(rows, order, inverse, add, reduce):
                 r.pop(col, None)
         rows = [r for r in rows if r and r is not chosen]
         yield col, pivot_row
-
-
-def _kernel(triangular, ncols, add, reduce):
-    """A kernel basis of the (col, pivot row) list of _eliminate, one
-    reduced vector {col: entry} per non-pivot column g, with a 1 at g
-    and zeros at the other non-pivot columns.  The pivot entries are
-    back-solved last pivot first, for all the vectors at once: x[c] maps
-    g to the entry at c of the vector of g, accumulated and then reduced
-    once."""
-    pivots = {col for col, _ in triangular}
-    free = [g for g in range(ncols) if g not in pivots]
-    x = {g: {g: 1} for g in free}
-    for col, row in reversed(triangular):
-        xc = {}
-        for c, a in row.items():
-            if c != col:
-                add(xc, x[c], -a)
-        x[col] = _reduced(xc, reduce)
-    basis = {g: {} for g in free}
-    for c, xc in x.items():
-        for g, v in xc.items():
-            basis[g][c] = v
-    return list(basis.values())
-
-
-def _canonical_kernel(basis, ncols, inverse, add, reduce):
-    """The reduced echelon form of a kernel basis ({col: entry}, changed
-    in place) with the columns in reverse order, as [(f, v_f), ...] in
-    column order: v_f has a 1 at f, zeros at the other f and its last
-    nonzero at f, every entry reduced.  Gauss-Jordan: each new pivot
-    column is also eliminated from the pivot rows taken before it, which
-    are reduced once at the end."""
-    reduced = []
-    for col, pivot_row in _eliminate(basis, range(ncols - 1, -1, -1),
-                                     inverse, add, reduce):
-        for _, r in reduced:
-            if col in r:
-                f = reduce(r[col])
-                if f:
-                    add(r, pivot_row, -f)
-                r.pop(col, None)
-        reduced.append((col, pivot_row))
-    reduced.reverse()
-    return [(col, _reduced(r, reduce)) for col, r in reduced]
 
 
 def _inverse(x):

@@ -8,6 +8,7 @@ from chiral.basis import (basis_block, charges, enumerate_basis,
 from chiral.chart import ChartFn
 from chiral.freefield import (BETA, GAMMA, B, C, mon_charge, mon_weight,
                               nth_product, VACUUM_MON)
+from chiral.linalg import Matrix
 from chiral.modeops import mode_words
 
 
@@ -138,6 +139,10 @@ def test_bools_are_refused_wherever_an_int_is_checked():
         "product indices": (lambda: nth_product({((BETA, -1),): 1}, True,
                                                 {((GAMMA, -2),): 1}),),
         "u-degrees": (lambda: ChartFn({(True, 0): 1}),),
+        "matrix dimensions/indices": (lambda: Matrix(True, 2),
+                                      lambda: Matrix(1, False),
+                                      lambda: Matrix(1, 2, {(False, 1): 1}),
+                                      lambda: Matrix(1, 2, {(0, True): 1})),
     }
     for what, calls in rejected.items():
         for call in calls:

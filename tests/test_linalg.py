@@ -30,15 +30,20 @@ def test_entry_validation():
 
 
 def test_matrix_rejects_a_bad_shape_or_index():
-    for rows, cols in ((2.0, 2), (2, "2"), (None, 1)):
+    for rows, cols in ((2.0, 2), (2, "2"), (None, 1), (True, 2), (1, False)):
         with pytest.raises(TypeError):
             Matrix(rows, cols)
     for rows, cols in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             Matrix(rows, cols)
-    for key in ((0.0, 1), (0, 1.0), (Fraction(0), 0)):
+    for key in ((0.0, 1), (0, 1.0), (Fraction(0), 0), (False, 1), (0, True)):
         with pytest.raises(TypeError):
             Matrix(1, 2, {key: 1})
+    # True == 1, but a bool entry is refused like any non-rational one
+    for entry in (True, False):
+        with pytest.raises(TypeError,
+                           match="^matrix entries are int or Fraction, not bool$"):
+            Matrix(1, 2, {(0, 1): entry})
     # an empty shape is a valid matrix
     assert kernel_basis(Matrix(0, 2)) == [[1, 0], [0, 1]]
 
@@ -95,12 +100,13 @@ P61 = 2**61 - 1
 ALL_PRIMES = prod(linalg.PRIMES)
 
 
-def oracle_kernel(rows, ncols):
-    """Reduced echelon kernel basis of a dense matrix, one vector per
-    free column, by textbook Gauss-Jordan over Fraction."""
+def oracle_echelon(rows, order):
+    """Reduced echelon form of a dense matrix with the columns taken in
+    the given order, as {pivot col: dense row}, by textbook Gauss-Jordan
+    over Fraction."""
     a = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    for c in range(ncols):
+    for c in order:
         r = len(pivots)
         p = next((i for i in range(r, len(a)) if a[i][c]), None)
         if p is None:
@@ -112,13 +118,20 @@ def oracle_kernel(rows, ncols):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
+    return {c: a[i] for i, c in enumerate(pivots)}
+
+
+def oracle_kernel(rows, ncols):
+    """Reduced echelon kernel basis of a dense matrix, one vector per
+    free column, read off its oracle_echelon in column order."""
+    echelon = oracle_echelon(rows, range(ncols))
     basis = []
     for f in range(ncols):
-        if f not in pivots:
+        if f not in echelon:
             vec = [Fraction(0)] * ncols
             vec[f] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                vec[pc] = -a[i][f]
+            for pc, row in echelon.items():
+                vec[pc] = -row[f]
             basis.append(vec)
     return basis
 
@@ -348,13 +361,46 @@ def residue(x, p):
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
+# (name, inverse, add, reduce, the map of a Fraction into the field)
+FIELDS = (("Q", *linalg._RATIONALS, lambda x: x),
+          ("mod p", *linalg._field_mod(P61), lambda x: residue(x, P61)))
+
+
+def test_echelon_in_a_random_column_order():
+    # _echelon is the reduced echelon form in the order it is given, over
+    # Q and mod p; mod p the rows it is handed hold unreduced
+    # representatives, as the kernel basis it canonicalizes does
+    rng = random.Random(20261021)
+    for _ in range(120):
+        rows, ncols = random_rank_deficient(rng, 9, 11)
+        order = list(range(ncols))
+        rng.shuffle(order)
+        expected = oracle_echelon(rows, order)
+        for name, inverse, add, reduce, convert in FIELDS:
+            sparse = [{c: convert(x) for c, x in enumerate(row) if x}
+                      for row in rows]
+            if name == "mod p":
+                sparse = [{c: y + P61 * rng.randint(-3, 3)
+                           for c, y in row.items()} for row in sparse]
+            echelon = linalg._echelon(sparse, order, inverse, add, reduce)
+            # last pivot first
+            assert list(echelon) == sorted(echelon, key=order.index,
+                                           reverse=True), name
+            for col, row in echelon.items():
+                assert row[col] == 1, name
+                assert row.keys() & echelon.keys() == {col}, name
+                if name == "mod p":
+                    assert all(0 < x < P61 for x in row.values())
+            assert echelon == {
+                col: {c: convert(x) for c, x in enumerate(row) if x}
+                for col, row in expected.items()}, name
+
+
 def test_canonical_kernel_of_a_recombined_basis():
     # any basis of the kernel, here the reduced echelon one mixed by a
     # random invertible matrix, canonicalizes back to the reduced echelon
     # basis, over Q and mod p
     rng = random.Random(71)
-    fields = (("Q", *linalg._RATIONALS, lambda x: x),
-              ("mod p", *linalg._field_mod(P61), lambda x: residue(x, P61)))
     for _ in range(60):
         rows, ncols = random_rank_deficient(rng, 8, 10)
         expected = oracle_kernel(rows, ncols)
@@ -370,11 +416,11 @@ def test_canonical_kernel_of_a_recombined_basis():
         rng.shuffle(mix)
         mixed = [[sum(a * vec[c] for a, vec in zip(coeffs, expected))
                   for c in range(ncols)] for coeffs in mix]
-        for name, inverse, add, reduce, convert in fields:
+        for name, inverse, add, reduce, convert in FIELDS:
             basis = [{c: convert(x) for c, x in enumerate(vec) if convert(x)}
                      for vec in mixed]
-            canonical = linalg._canonical_kernel(basis, ncols, inverse, add,
-                                                 reduce)
+            canonical = list(linalg._echelon(
+                basis, range(ncols - 1, -1, -1), inverse, add, reduce).items())
             want = [{c: convert(x) for c, x in enumerate(vec) if x}
                     for vec in expected]
             assert [v for _, v in canonical] == want, name
@@ -444,6 +490,29 @@ def count_primes(monkeypatch):
     monkeypatch.setattr(linalg, "_modular_kernel", spy_modular_kernel)
     monkeypatch.setattr(linalg, "_field_mod", spy_field_mod)
     return calls
+
+
+def test_mod_p_entry_updates_through_weight_8(monkeypatch):
+    # the work of the modular kernels of every invariant block through
+    # weight 8, counted as the pivot-row length of each mod-p row update:
+    # at most the count of the two reduced-echelon passes per prime
+    updates = 0
+    field_mod = linalg._field_mod
+
+    def spy_field_mod(p):
+        inverse, add, reduce = field_mod(p)
+
+        def counted(row, pivot_row, f):
+            nonlocal updates
+            updates += len(pivot_row)
+            return add(row, pivot_row, f)
+
+        return inverse, counted, reduce
+
+    monkeypatch.setattr(linalg, "_field_mod", spy_field_mod)
+    for kl in grades(8):
+        invariants(*kl)
+    assert updates <= 327_083
 
 
 def test_invariant_blocks_take_one_prime_through_weight_9(monkeypatch):
