@@ -38,44 +38,52 @@ kernel basis read off the first form may hold its entries -R_p[g]
 unreduced.  In the back-substitution a row is updated only by finished,
 reduced rows, by the reduced entry it holds at their pivot, and is
 reduced once when it is finished.  f and every pivot-row entry lie in
-[0, p), so each update adds less than p^2 < 2^122, and an entry that u
-updates touched stays below u * 2^122 + p: an exact int, never a wrong
-residue.  The residues handed to CRT lie in [0, p) and are the ones
-that reducing at every update gives, since the reduced echelon form mod
-p is unique; and whatever the residues, a lift is only returned once M
-v = 0 holds in exact integer arithmetic.
+[0, p), so each update adds less than p^2 (< 2^122 for a 61-bit prime,
+< 2^382 for a 191-bit one), and an entry that u updates touched stays
+below u * p^2 + p: an exact int, never a wrong residue.  The residues handed to the lift lie in [0, p) and are the
+ones that reducing at every update gives, since the reduced echelon
+form mod p is unique; and whatever the residues, a lift is only
+returned once M v = 0 holds in exact integer arithmetic.
 
-Kernel bases are computed modulo the fixed primes `PRIMES` (the eight
-largest primes <= 2^61 - 1) and lifted back to the rationals
-(multimodular echelon forms, Stein, *Modular Forms*, ch. 7):
+Kernel bases are computed modulo one prime at a time and lifted back
+to the rationals (multimodular echelon forms, Stein, *Modular Forms*,
+ch. 7, with no combination of residues across primes):
 
 1. each row is scaled by the lcm of its denominators to integers
    (integer_multiple);
-2. for each prime p in turn, the canonical kernel is taken mod p; a
-   prime whose free columns are worse than the best seen so far (more
-   of them, i.e. a lower rank, or as many with an earlier one where
-   they first differ, i.e. later pivots) is unlucky and skipped, and a
-   better one replaces the residues kept so far;
-3. the residues of each canonical kernel vector are combined by CRT
-   into the product N of the primes kept, and every entry is lifted by
-   rational reconstruction with |numerator|, denominator <=
-   isqrt(N // 2) (Wang's extended Euclid);
+2. the primes are chosen from the matrix's size: under `WIDE_COLUMNS`
+   = 300 columns the eight largest primes <= 2^61 - 1 (`PRIMES`), else
+   the eight largest Proth primes k 2^96 + 1 below 2^191
+   (`WIDE_PRIMES`);
+3. for each prime p in turn, the canonical kernel is taken mod p and
+   every entry is lifted by rational reconstruction with |numerator|,
+   denominator <= isqrt(p // 2) (Wang's extended Euclid);
 4. each lifted vector v is certified by checking M v = 0 in exact
-   integer arithmetic, and the first N at which every vector passes
-   gives the answer.
+   integer arithmetic, and the first prime at which every vector
+   passes gives the answer.
 
-A certified lift is the exact answer.  The vector v_f of free column f
-has a 1 at f, zeros at the other free columns mod p and support in
-columns <= f, so M v_f = 0 makes f a free column over Q too.  The rank
-mod p is at most the rank over Q, so the free columns agree, and the
-reduced echelon kernel basis, being unique, is the same; which primes
-were combined does not matter.  The primes are the cap: when they run
-out, after at most eight modular eliminations (every prime divides a
-pivot, or a kernel entry is too large to reconstruct from all of them),
-the same routines run over Q on the same integer rows instead; scaling
-rows leaves the kernel unchanged.  Kernel vector entries are int when
-integral and Fraction otherwise; a lift with common denominator 1 builds
-its entries as ints, without a Fraction.
+The cutoff rests on measured heights, the largest bit length of a
+numerator or denominator in a block's canonical kernel basis.  Every
+invariant block under 300 columns is at most 26 bits tall, within the
+30 bits a 61-bit prime reconstructs.  Seven blocks are taller than 30
+bits, each with 395 columns or more, up to 85 bits at block (12, 0),
+within the 95 bits a 191-bit prime reconstructs.  So through
+`basis.MAX_WEIGHT` every nonempty invariant block certifies on its
+first prime.  The small blocks keep the narrow primes because an update
+with 191-bit ints costs more.
+
+A certified lift is the exact answer, whichever prime gave it.  The
+vector v_f of free column f mod p has a 1 at f, zeros at the other free
+columns and support in columns <= f, and so has its lift.  So d
+certified vectors are independent kernel vectors over Q, and nullity_Q
+>= d = nullity_p >= nullity_Q, since the rank mod p is at most the rank
+over Q.  They span the kernel over Q in reduced echelon form, and that
+basis is unique.  A prime that divides a pivot, or is too narrow for an
+entry, fails the lift or the certificate, and the next prime is tried.
+When all eight fail, the same routines run over Q on the same integer
+rows instead; scaling rows leaves the kernel unchanged.  Kernel vector
+entries are int when integral and Fraction otherwise; a lift with
+common denominator 1 builds its entries as ints, without a Fraction.
 """
 
 from __future__ import annotations
@@ -90,6 +98,18 @@ from .freefield import check_int, sadd
 # so that importing the module searches for none
 PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
           2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391)
+
+# the eight largest primes k 2^96 + 1 (k odd) below 2^191, in descending
+# order; 3, 5, 13, 3, 3, 7, 3 and 3 are Proth witnesses of their primality
+# (a^((p - 1)/2) = -1 mod p, Proth 1878)
+WIDE_PRIMES = tuple(k * 2**96 + 1 for k in (
+    39614081257132168796771974975, 39614081257132168796771974947,
+    39614081257132168796771974905, 39614081257132168796771974501,
+    39614081257132168796771974117, 39614081257132168796771974083,
+    39614081257132168796771974063, 39614081257132168796771973865))
+
+# a matrix with this many columns or more is eliminated mod WIDE_PRIMES
+WIDE_COLUMNS = 300
 
 _SHAPE = "matrix dimensions/indices"
 
@@ -135,10 +155,10 @@ def kernel_basis(m: Matrix):
     with a 1 at f, zeros at the other free columns and support in
     columns <= f.
 
-    Computed mod the primes in PRIMES, combined by CRT and certified,
-    else over Q; either way by two reduced echelon forms (_echelon), of
-    m in a fill-reducing column order and of the kernel basis read off
-    it in reverse column order (see above).
+    Computed mod one prime of PRIMES, or of WIDE_PRIMES for a wide m,
+    and certified, else over Q; either way by two reduced echelon forms
+    (_echelon), of m in a fill-reducing column order and of the kernel
+    basis read off it in reverse column order (see above).
     """
     rows = _integer_rows(m)
     basis = _modular_kernel(rows, m.cols)
@@ -173,33 +193,20 @@ def _integer_rows(m: Matrix):
 
 def _modular_kernel(int_rows, ncols):
     """kernel_basis of the integer rows via their canonical kernel mod
-    the primes in PRIMES, combined by CRT, or None when no product of
-    them lifts every vector past reconstruction and the exact
-    certificate.  Leaves int_rows unchanged."""
+    the first prime, of PRIMES under WIDE_COLUMNS columns and of
+    WIDE_PRIMES from there on, whose lift passes the exact certificate,
+    or None when no prime gives one.  Leaves int_rows unchanged."""
     columns = {}
     for i, row in enumerate(int_rows):
         for c, a in row.items():
             columns.setdefault(c, []).append((i, a))
-    best = None  # (nullity, negated free columns) of the primes kept
-    modulus = 1
-    vectors = []  # per free column, {col: residue mod modulus}
-    for p in PRIMES:
+    for p in PRIMES if ncols < WIDE_COLUMNS else WIDE_PRIMES:
         residues = [{c: y for c, x in row.items() if (y := x % p)}
                     for row in int_rows]
-        canonical = _field_kernel(residues, ncols, *_field_mod(p))
-        key = (len(canonical), [-f for f, _ in canonical])
-        if best is not None and key > best:
-            continue  # unlucky prime
-        new = [v for _, v in canonical]
-        if key != best:
-            best, modulus, vectors = key, p, new
-        else:
-            vectors = [_crt(old, modulus, v, p) for old, v in zip(vectors, new)]
-            modulus *= p
-        bound = isqrt(modulus // 2)
+        bound = isqrt(p // 2)
         basis = []
-        for vec in vectors:
-            lifted = _lift(vec.items(), modulus, bound)
+        for _, vec in _field_kernel(residues, ncols, *_field_mod(p)):
+            lifted = _lift(vec.items(), p, bound)
             if lifted is None or not _certified(lifted[0], columns,
                                                 len(int_rows)):
                 break
@@ -325,31 +332,20 @@ def _field_mod(p):
     return inverse, add, reduce
 
 
-def _crt(a, m, b, p):
-    """The residues mod m * p that are a[c] mod m and b[c] mod p, for
-    coprime m and p; a and b map col -> residue, an absent col is 0."""
-    m_inv = pow(m, -1, p)
-    out = {}
-    for c in a.keys() | b.keys():
-        x = a.get(c, 0)
-        out[c] = x + m * ((b.get(c, 0) - x) * m_inv % p)
-    return out
-
-
-def _lift(residues, modulus, bound):
-    """Rational reconstruction of a vector given as (col, residue mod
-    modulus) pairs, every entry n/d with |n|, d <= bound: (integer
-    numerators by column, common denominator), or None."""
+def _lift(residues, p, bound):
+    """Rational reconstruction of a vector given as (col, residue mod p)
+    pairs, every entry n/d with |n|, d <= bound: (integer numerators by
+    column, common denominator), or None."""
     den = 1
     parts = []
     for c, x in residues:
-        y = x * den % modulus
+        y = x * den % p
         if y <= bound:
             n, d = y, 1
-        elif modulus - y <= bound:
-            n, d = y - modulus, 1
+        elif p - y <= bound:
+            n, d = y - p, 1
         else:
-            nd = _reconstruct(y, modulus, bound)
+            nd = _reconstruct(y, p, bound)
             if nd is None:
                 return None
             n, d = nd
@@ -358,10 +354,10 @@ def _lift(residues, modulus, bound):
     return {c: n * (den // part_den) for c, n, part_den in parts}, den
 
 
-def _reconstruct(y, modulus, bound):
-    """n/d with n = d y mod modulus, |n| <= bound and 0 < d <= bound
-    (Wang's extended Euclid), or None."""
-    r0, r1 = modulus, y
+def _reconstruct(y, p, bound):
+    """n/d with n = d y mod p, |n| <= bound and 0 < d <= bound (Wang's
+    extended Euclid), or None."""
+    r0, r1 = p, y
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1

@@ -34,11 +34,14 @@ CHARACTER_2_JSON = """\
 }
 """
 
-# sha256 of the `character --max-weight 8` and `--max-weight 10` stdout
+# sha256 of the `character --max-weight 8`, `--max-weight 10` and
+# `--max-weight 12` stdout
 CHARACTER_8_SHA256 = (
     "0489de95447e08bf8bcbe21c9050deb04491d8f9417887290f18ee1db08b81e8")
 CHARACTER_10_SHA256 = (
     "5c200feb9195d7d415fb28563ae8ddd7950e1558734c3c82da7a15708e17eae4")
+CHARACTER_12_SHA256 = (
+    "ac9361175ec8b1cdcb8c5bfce0b7323aa448bfd0aad0ed4abe38805667629c8b")
 
 # sha256 of the `hzero --max-weight 8` stdout for genus 2 and genus 3
 HZERO_G2_K8_SHA256 = (
@@ -52,7 +55,7 @@ INVARIANTS_8_0_BASIS_SHA256 = (
     "ee66d155dbe78da3d3727ca096da475f85cf32bd98c1b69b9f30e6b5b99ceb8b")
 
 # sha256 of the `invariants --weight 10 --charge 1 --basis` stdout: dim 21,
-# with 7,296 Fraction coefficients, lifted by CRT from two primes
+# with 7,296 Fraction coefficients, lifted from one wide prime
 INVARIANTS_10_1_BASIS_SHA256 = (
     "494583c427e1fae4919b62ba50b6a89678efad6894e585b03032ae0ad79c539d")
 
@@ -227,8 +230,8 @@ def test_invariants_weight_8_basis_stdout_fixture(capsys):
 
 
 def test_invariants_weight_10_basis_stdout_fixture(capsys):
-    # the one byte check whose kernel crosses the CRT lift: block (10, 1)
-    # needs two primes
+    # a byte check whose kernel is lifted from a wide prime: block (10, 1)
+    # has 395 columns and entries up to 32 bits tall
     rc, out = run(["invariants", "--weight", "10", "--charge", "1",
                    "--basis"], capsys)
     assert rc == 0
@@ -276,7 +279,8 @@ def test_character_from_diagonal_counts():
     counts = _diagonal_counts(12)
     enumerated = {(k, l): len(basis_block(k, l, l)) for k, l in grades(12)}
     assert {key: c for key, c in enumerated.items() if c} == counts
-    for kmax, digest in ((8, CHARACTER_8_SHA256), (10, CHARACTER_10_SHA256)):
+    for kmax, digest in ((8, CHARACTER_8_SHA256), (10, CHARACTER_10_SHA256),
+                         (12, CHARACTER_12_SHA256)):
         entries = [{"k": 0, "l": 0, "dim": 1}]
         for k in range(1, kmax + 1):
             d = {}

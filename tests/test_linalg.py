@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 
 import pytest
 
@@ -92,10 +92,11 @@ def test_rank_nullity():
     assert all(not any(mat_vec(m, vec)) for vec in ker)
 
 
-# The kernel of a real matrix is computed mod the primes in
-# linalg.PRIMES, combined by CRT, lifted and certified, falling back to
-# exact elimination; every case below is compared against this dense
-# Fraction Gauss-Jordan oracle.
+# The kernel of a real matrix is computed mod one prime at a time, of
+# linalg.PRIMES or, from linalg.WIDE_COLUMNS columns on, of
+# linalg.WIDE_PRIMES, lifted and certified, falling back to exact
+# elimination; every case below is compared against this dense Fraction
+# Gauss-Jordan oracle.
 P61 = 2**61 - 1
 ALL_PRIMES = prod(linalg.PRIMES)
 
@@ -152,7 +153,7 @@ def modular_declines(m):
 
 def test_kernel_unlucky_prime_falls_back():
     # every prime divides the only pivot over Q: the pivot column moves
-    # mod p, and no product of the primes gives a certified vector
+    # mod p, and no prime gives a certified vector
     m = check_against_oracle([[ALL_PRIMES, 1]], 2)
     assert modular_declines(m)
     check_against_oracle([[ALL_PRIMES, 1], [2 * ALL_PRIMES, 2]], 2)
@@ -161,7 +162,7 @@ def test_kernel_unlucky_prime_falls_back():
 
 def test_kernel_reconstruction_overflow_falls_back():
     # kernel entry -1/3^160 has a denominator beyond the reconstruction
-    # bound isqrt(prod(PRIMES) // 2) of all the primes together
+    # bound isqrt(p // 2) of every prime, narrow or wide
     m = check_against_oracle([[3**160, 1]], 2)
     assert modular_declines(m)
     check_against_oracle([[3**160, 5**30, 7]], 3)
@@ -174,40 +175,49 @@ def test_kernel_entry_with_prime_denominator():
         [[Fraction(1, ALL_PRIMES), 1, 0], [0, 1, Fraction(2, 3)]], 3)
 
 
-def test_kernel_first_prime_unlucky_second_lucky():
-    # 2^61 - 1 divides the pivot, so mod the first prime the pivot moves to
-    # column 1; the second prime puts it back at column 0 and replaces the
-    # first prime's residues, and the kernel entry -1/P61 reconstructs once
-    # enough of the later primes are combined
-    m = check_against_oracle([[P61, 1]], 2)
-    assert not modular_declines(m)
+def test_kernel_first_prime_unlucky_second_lucky(monkeypatch):
+    # 2^61 - 1 divides the pivot, so mod the first prime the row vanishes
+    # and the lift of e_0 fails the certificate; the second prime alone
+    # gives the kernel vector (-3, 1)
+    calls = count_primes(monkeypatch)
+    check_against_oracle([[P61, 3 * P61]], 2)
+    assert [call[:2] for call in calls] == [[list(linalg.PRIMES[:2]), False]]
+    # the kernel entry -1/P61 is too tall for any one narrow prime
+    calls.clear()
+    check_against_oracle([[P61, 1]], 2)
+    assert [call[:2] for call in calls] == [[list(linalg.PRIMES), True]]
 
 
-def test_kernel_later_unlucky_prime_is_skipped():
-    # the second prime divides the pivot: its residues are skipped, and
-    # the other seven primes together, but no six of them, reconstruct
-    # the kernel entry -1/den
-    den = linalg.PRIMES[1] * 3**90
-    six = prod(linalg.PRIMES[2:])
-    assert isqrt(six // 2) < den < isqrt(linalg.PRIMES[0] * six // 2)
-    m = check_against_oracle([[den, 1]], 2)
-    assert not modular_declines(m)
+def test_kernel_later_unlucky_prime_is_skipped(monkeypatch):
+    # the first two primes divide the pivot: each is tried on its own and
+    # fails the certificate, and the third gives the kernel; as a wide
+    # matrix the same rows take the first wide prime alone
+    pivot = P61 * linalg.PRIMES[1]
+    calls = count_primes(monkeypatch)
+    check_against_oracle([[pivot, 3 * pivot]], 2)
+    assert [call[:2] for call in calls] == [[list(linalg.PRIMES[:3]), False]]
+    monkeypatch.setattr(linalg, "WIDE_COLUMNS", 0)
+    calls.clear()
+    check_against_oracle([[pivot, 3 * pivot]], 2)
+    assert [call[:2] for call in calls] == [[[linalg.WIDE_PRIMES[0]], False]]
 
 
-def test_kernel_needs_two_primes(monkeypatch):
+def test_kernel_too_tall_for_a_narrow_prime_takes_a_wide_one(monkeypatch):
     # a kernel entry with a 51-bit numerator and a 45-bit denominator, like
-    # the entries of block (10, 0): too large for one 61-bit prime,
-    # reconstructed from two without falling back
+    # the entries of block (10, 0): too tall for any 61-bit prime, so the
+    # narrow primes all fail and the kernel comes from Q; as a wide matrix
+    # it is lifted from the first wide prime without falling back
     num, den = 2**50 + 1, 3**28
     rows = [[den, num, 0], [0, 1, 1]]
-    m = check_against_oracle(rows, 3)
-    assert not modular_declines(m)
-    primes = linalg.PRIMES
-    monkeypatch.setattr(linalg, "PRIMES", primes[:1])
-    assert modular_declines(m)
-    monkeypatch.setattr(linalg, "PRIMES", primes[:2])
     expected = [[Fraction(num, den), Fraction(-1), Fraction(1)]]
     assert oracle_kernel(rows, 3) == expected
+    calls = count_primes(monkeypatch)
+    m = check_against_oracle(rows, 3)
+    assert [call[:2] for call in calls] == [[list(linalg.PRIMES), True]]
+    monkeypatch.setattr(linalg, "WIDE_COLUMNS", 0)
+    calls.clear()
+    check_against_oracle(rows, 3)
+    assert [call[:2] for call in calls] == [[[linalg.WIDE_PRIMES[0]], False]]
     assert linalg._modular_kernel(linalg._integer_rows(m), 3) == expected
 
 
@@ -244,6 +254,27 @@ def test_primes_are_the_largest_below_2_61():
     # no prime is skipped between them
     assert [n for n in range(primes[-1], P61 + 1) if is_prime(n)] == \
         sorted(primes)
+
+
+def test_wide_primes_are_the_largest_proth_primes_below_2_191():
+    # is_prime is deterministic only below 3.1 * 10^23.  Each wide prime
+    # is p = k 2^96 + 1 with k odd and k < 2^96, so by Proth's theorem a
+    # witness a with a^((p - 1)/2) = -1 mod p proves it prime
+    wide = linalg.WIDE_PRIMES
+    assert len(wide) == 8
+    assert list(wide) == sorted(set(wide), reverse=True)
+    for p, a in zip(wide, (3, 5, 13, 3, 3, 7, 3, 3)):
+        k, r = divmod(p - 1, 2**96)
+        assert r == 0 and k % 2 == 1 and p < 2**191
+        assert pow(a, (p - 1) // 2, p) == p - 1
+    # every odd k skipped between them and 2^95 gives a composite p: some
+    # base a has a^(p - 1) != 1 mod p (Fermat)
+    ks = {p >> 96 for p in wide}
+    skipped = [k for k in range(wide[-1] >> 96, 2**95, 2) if k not in ks]
+    assert len(skipped) == 644
+    for k in skipped:
+        p = k * 2**96 + 1
+        assert any(pow(a, p - 1, p) != 1 for a in (2, 3, 5, 7))
 
 
 def test_kernel_random_sparse_rank_deficient():
@@ -338,23 +369,25 @@ def test_fill_in_that_cancels_mod_p_does_not_pivot(monkeypatch):
 
 def test_residues_handed_to_the_lift_are_reduced(monkeypatch):
     # the row updates mod p leave entries far above p; every residue that
-    # reaches CRT and rational reconstruction lies in [0, modulus)
+    # reaches rational reconstruction lies in [0, p)
     lift = linalg._lift
     seen = []
 
-    def spy(residues, modulus, bound):
+    def spy(residues, p, bound):
         residues = list(residues)
-        seen.append(modulus)
-        assert all(0 <= x < modulus for _, x in residues)
-        return lift(residues, modulus, bound)
+        seen.append(p)
+        assert all(0 <= x < p for _, x in residues)
+        return lift(residues, p, bound)
 
     monkeypatch.setattr(linalg, "_lift", spy)
     rng = random.Random(20261020)
     for _ in range(40):
         check_against_oracle(*random_rank_deficient(rng, 10, 12, min_size=4))
-    # the matrix of test_kernel_needs_two_primes, lifted from two primes
+    # the matrix of test_kernel_too_tall_for_a_narrow_prime_takes_a_wide_one,
+    # lifted from the first wide prime
+    monkeypatch.setattr(linalg, "WIDE_COLUMNS", 0)
     check_against_oracle([[3**28, 2**50 + 1, 0], [0, 1, 1]], 3)
-    assert P61 in seen and P61 * linalg.PRIMES[1] in seen
+    assert P61 in seen and linalg.WIDE_PRIMES[0] in seen
 
 
 def residue(x, p):
@@ -473,19 +506,27 @@ def test_exact_path_pivots_in_count_order(monkeypatch):
 
 def count_primes(monkeypatch):
     """Record, for every kernel the modular path is asked for, [the
-    number of primes it eliminated mod, whether it fell back to Q]."""
+    primes it eliminated mod, whether it fell back to Q, the mod-p entry
+    updates, each counted as the pivot-row length of a row update]."""
     calls = []
     field_mod, modular_kernel = linalg._field_mod, linalg._modular_kernel
 
     def spy_modular_kernel(int_rows, ncols):
-        calls.append([0, False])
+        calls.append([[], False, 0])
         basis = modular_kernel(int_rows, ncols)
         calls[-1][1] = basis is None
         return basis
 
     def spy_field_mod(p):
-        calls[-1][0] += 1
-        return field_mod(p)
+        inverse, add, reduce = field_mod(p)
+        call = calls[-1]
+        call[0].append(p)
+
+        def counted(row, pivot_row, f):
+            call[2] += len(pivot_row)
+            return add(row, pivot_row, f)
+
+        return inverse, counted, reduce
 
     monkeypatch.setattr(linalg, "_modular_kernel", spy_modular_kernel)
     monkeypatch.setattr(linalg, "_field_mod", spy_field_mod)
@@ -494,36 +535,28 @@ def count_primes(monkeypatch):
 
 def test_mod_p_entry_updates_through_weight_8(monkeypatch):
     # the work of the modular kernels of every invariant block through
-    # weight 8, counted as the pivot-row length of each mod-p row update:
-    # at most the count of the two reduced-echelon passes per prime
-    updates = 0
-    field_mod = linalg._field_mod
-
-    def spy_field_mod(p):
-        inverse, add, reduce = field_mod(p)
-
-        def counted(row, pivot_row, f):
-            nonlocal updates
-            updates += len(pivot_row)
-            return add(row, pivot_row, f)
-
-        return inverse, counted, reduce
-
-    monkeypatch.setattr(linalg, "_field_mod", spy_field_mod)
+    # weight 8: at most the count of the two reduced-echelon passes per
+    # prime
+    calls = count_primes(monkeypatch)
     for kl in grades(8):
         invariants(*kl)
-    assert updates <= 327_083
+    assert sum(updates for _, _, updates in calls) <= 327_083
 
 
-def test_invariant_blocks_take_one_prime_through_weight_9(monkeypatch):
-    # no invariant block through weight 9 falls back to Q or takes a
-    # second prime, and block (10, 1) takes exactly two; frozen from the
-    # kernel whose row updates reduced every entry mod p
+def test_invariant_blocks_take_one_prime_through_weight_10(monkeypatch):
+    # every nonempty invariant block through weight 10 takes one modular
+    # elimination and none falls back to Q; the two blocks of 300 columns
+    # or more, (10, 0) and (10, 1), take the first wide prime, and their
+    # updates are bounded
     calls = count_primes(monkeypatch)
-    for kl in grades(9):
+    wide = {}  # block -> updates
+    for kl in grades(10):
+        before = len(calls)
         invariants(*kl)
-    assert len(calls) == 44  # one per nonempty diagonal block
-    assert all(c == [1, False] for c in calls)
-    calls.clear()
-    invariants(10, 1)
-    assert calls == [[2, False]]
+        if calls[before:] and calls[-1][0] == [linalg.WIDE_PRIMES[0]]:
+            wide[kl] = calls[-1][2]
+    assert len(calls) == 52  # one per nonempty diagonal block
+    assert all(len(primes) == 1 and not fell_back
+               for primes, fell_back, _ in calls)
+    assert list(wide) == [(10, 0), (10, 1)]
+    assert sum(wide.values()) <= 4_893_927
