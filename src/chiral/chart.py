@@ -27,6 +27,12 @@ scale take int or Fraction coefficients and read a Fraction's numerator
 and denominator; only repr builds Fractions.  The imaginary unit is the
 constant function I, and a Gaussian function is built as a product,
 e.g. ChartFn.v_pow(-2, -2) * I.
+
+as_ints and ChartFn.from_ints read and build the stored form.
+monomial_image(key, factor, d) is factor * d(u^a v^b i^w) for one
+stored key, as int numerators over factor's denominator: the chart
+arithmetic of a chiral.geometry section, which keeps its coefficients
+under the same keys and applies an operator once per chart monomial.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from math import gcd, lcm
 from .freefield import check_int
 
 
-def _ratio(c):
+def ratio(c):
     """c (an int or Fraction) as a (numerator, denominator) pair of ints."""
     if type(c) is int:
         return c, 1
@@ -88,7 +94,7 @@ class ChartFn:
                 check_int(dv, "v-degrees")
                 if du < 0:
                     raise ValueError("negative u-degree")
-                p, q = _ratio(c)
+                p, q = ratio(c)
                 if p:
                     parts[(du, dv, 0)] = p, q
                     den = lcm(den, q)
@@ -153,25 +159,11 @@ class ChartFn:
     def __mul__(self, other):
         if not isinstance(other, ChartFn):
             return self.scale(other)
-        out = {}
-        get = out.get
-        right = other._nums.items()
-        for (a1, b1, w1), c1 in self._nums.items():
-            for (a2, b2, w2), c2 in right:
-                p = c1 * c2
-                w = w1 + w2
-                if w == 2:  # i * i = -1
-                    p, w = -p, 0
-                key = (a1 + a2, b1 + b2, w)
-                v = get(key, 0) + p
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return _reduced(out, self._den * other._den)
+        return _reduced(_product(self._nums, other._nums),
+                        self._den * other._den)
 
     def scale(self, c) -> "ChartFn":
-        p, q = _ratio(c)
+        p, q = ratio(c)
         nums, den = self._nums, self._den
         if not p or not nums:
             return _wrap({})
@@ -192,30 +184,38 @@ class ChartFn:
 
     def d_gamma(self) -> "ChartFn":
         """d/du + d/dv in one pass over the terms and one reduction."""
-        out = {}
-        get = out.get
-        for (du, dv, w), c in self._nums.items():
-            if du:
-                key = (du - 1, dv, w)
-                v = get(key, 0) + c * du
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-            if dv:
-                key = (du, dv - 1, w)
-                v = get(key, 0) + c * dv
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return _reduced(out, self._den)
+        return _reduced(_linear(self._nums, _key_d_gamma), self._den)
 
     def d_gammabar(self) -> "ChartFn":
         """-d/dv."""
-        return _reduced({(du, dv - 1, w): -c * dv
-                         for (du, dv, w), c in self._nums.items() if dv},
-                        self._den)
+        return _reduced(_linear(self._nums, _key_d_gammabar), self._den)
+
+    def as_ints(self):
+        """The stored form: (a new dict (a, b, w) -> nonzero int, the int
+        denominator > 0), in lowest terms."""
+        return dict(self._nums), self._den
+
+    @staticmethod
+    def from_ints(nums, den=1) -> "ChartFn":
+        """nums / den in lowest terms, for a dict nums (a, b, w) -> int
+        with int a >= 0, int b and w in (0, 1), and an int den > 0; zero
+        numerators are dropped.  A key or value outside that raises
+        TypeError or ValueError."""
+        check_int(den, "denominators")
+        if den < 1:
+            raise ValueError("denominator %d is not positive" % den)
+        out = {}
+        for key, c in nums.items():
+            a, b, w = key
+            if not (type(a) is type(b) is type(w) is type(c) is int
+                    and a >= 0 and 0 <= w <= 1):
+                for x, what in ((a, "u-degrees"), (b, "v-degrees"),
+                                (w, "powers of i"), (c, "numerators")):
+                    check_int(x, what)
+                raise ValueError("not a chart monomial key: %r" % (key,))
+            if c:
+                out[key] = c
+        return _reduced(out, den) if den > 1 else _wrap(out)
 
     def __repr__(self):
         if not self._nums:
@@ -253,6 +253,80 @@ def _imag_str(b):
     if b.denominator == 1:
         return "%si" % b.numerator
     return "%si/%s" % (b.numerator, b.denominator)
+
+
+def _product(left, right):
+    """The numerators of the product of two numerator dicts."""
+    out = {}
+    get = out.get
+    right = right.items()
+    for (a1, b1, w1), c1 in left.items():
+        for (a2, b2, w2), c2 in right:
+            p = c1 * c2
+            w = w1 + w2
+            if w == 2:  # i * i = -1
+                p, w = -p, 0
+            key = (a1 + a2, b1 + b2, w)
+            v = get(key, 0) + p
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _key_d_gamma(key):
+    """d/du + d/dv of the monomial of key, as key -> nonzero int."""
+    a, b, w = key
+    out = {}
+    if a:
+        out[(a - 1, b, w)] = a
+    if b:
+        out[(a, b - 1, w)] = b
+    return out
+
+
+def _key_d_gammabar(key):
+    """-d/dv of the monomial of key, as key -> nonzero int."""
+    a, b, w = key
+    return {(a, b - 1, w): -b} if b else {}
+
+
+def _linear(nums, image):
+    """The numerators of the linear map with monomial images image(key)
+    applied to a numerator dict."""
+    out = {}
+    get = out.get
+    for key, c in nums.items():
+        for k2, c2 in image(key).items():
+            v = get(k2, 0) + c * c2
+            if v:
+                out[k2] = v
+            else:
+                del out[k2]
+    return out
+
+
+_KEY_DERIVATIVES = {ChartFn.d_gamma: _key_d_gamma,
+                    ChartFn.d_gammabar: _key_d_gammabar}
+
+
+def monomial_image(key, factor=None, d=None):
+    """factor * d(u^a v^b i^w) for key = (a, b, w), where d is
+    ChartFn.d_gamma, ChartFn.d_gammabar or None (the identity) and
+    factor a ChartFn or None (the constant 1), as (terms, den): a new
+    dict key -> nonzero int over factor's denominator (1 without a
+    factor), not reduced.  The chart arithmetic of a chiral.geometry
+    section, which applies it once per chart monomial."""
+    if d is None:
+        terms = {key: 1}
+    elif d in _KEY_DERIVATIVES:
+        terms = _KEY_DERIVATIVES[d](key)
+    else:
+        raise ValueError("d is ChartFn.d_gamma, ChartFn.d_gammabar or None")
+    if factor is None:
+        return terms, 1
+    return _product(terms, factor._nums), factor._den
 
 
 I = _wrap({(0, 0, 1): 1})  # the imaginary unit

@@ -254,8 +254,9 @@ def check_monomial(mon, stop=None):
     prev = None
     for mode in mon[:stop]:
         gen, idx = mode
-        check_int(gen, "generators")
-        check_int(idx, "mode indices")
+        if type(gen) is not int or type(idx) is not int:
+            check_int(gen, "generators")
+            check_int(idx, "mode indices")
         if gen not in _GENS or idx > -1:
             raise ValueError("not a creation mode: %r in %r" % (mode, mon))
         if prev is not None and (prev > mode or prev == mode and PARITY[gen]):

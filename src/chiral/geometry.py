@@ -11,26 +11,39 @@ positive-sector fiber monomials and f, g chart functions.  The operators:
   coordinates is (v^2/2) d/dgamma on the dconj(gamma)-coefficient.
   Both theta and -i H^-1 are read from chart.metric_data() at import.
 * f1, f2: the tail of the deformed differential.  Their fiber parts are
-  mode operators built from the gtilde family; the overall factor i of f1
-  is carried on the chart coefficient, keeping fiber states rational.
-  A chart function keeps integer numerators, split by the power of i,
-  over one denominator, so that factor only moves numerators between
-  the real and imaginary slots and leaves the denominator as it is.
-  f1 drops s by one, f2 by two; both raise form degree, so they vanish
-  on degree-1 input on a curve.  The n1 image of each fiber monomial is
-  memoised, and a section keeps its own f1 and f2 images, so
-  chain_residuals reuses the images solve_recursion computed for the
-  same chain entries; dbar_total on a summed section, a new object,
-  recomputes them.
+  mode operators built from the gtilde family, and the overall factor i
+  of f1 is a chart factor.  f1 drops s by one, f2 by two; both raise
+  form degree, so they vanish on degree-1 input on a curve.
 
-The public FormSection(...) checks that every coefficient is a ChartFn
-and drops the zeros.  Every section this module builds from its own
-values (sums, scalings, the covariant derivatives, dbar_star, the f1/f2
-tail, curvature_op, the zero of chain_residuals and the case-3 states)
-skips that check through _section: each drops the zeros it makes, a
-sum that cancels or a derivative of a constant, and keeps only nonzero
-ChartFns.  Only seed_section, whose g comes from the caller, builds its
-section through the check.
+A section stores each form degree as {chart monomial: {fiber monomial:
+int}} over one int denominator shared by both degrees, in lowest terms,
+so == compares the stored data.  A chart monomial is the key (u-degree,
+v-degree, power of i) of chiral.chart, so the factor i of f1 moves a key
+and at most flips a sign.  The layout is exact: every coefficient is an
+integer over the common denominator, an operator multiplies integers
+and denominators without rounding, and each result is divided once by
+the gcd of its denominator and numerators.  Every operator above is a
+chart map (a product with a fixed ChartFn, after d/dgamma or
+d/dconj(gamma) or neither; chart.monomial_image applies it to one chart
+monomial) times a fiber map, so it runs once per chart monomial: the
+chart map gives a few keys with int factors, and f1 and f2 sum the
+memoised fiber image of each monomial, ints over their own denominator,
+with int coefficients through freefield.sadd.  That suits the
+recursion, where every entry a_{s-t} of a chain has the single chart
+monomial i^t v^(2(l-s)+t).  deg0 and deg1 are {fiber monomial:
+ChartFn} views, built as new dicts on each read.
+
+A section keeps its own f1 and f2 images, so chain_residuals reuses
+the images solve_recursion computed for the same chain entries;
+dbar_total on a summed section, a new object, recomputes them (a sum
+with the zero section is the other section itself).
+
+The public FormSection(...) checks every fiber monomial with
+freefield.check_monomial and that every coefficient is a ChartFn, and
+drops the zeros.  Every section this module builds from its own values
+skips that check through _section, which drops nothing: each operator
+drops the zeros it makes.  Only seed_section, whose monomial and g come
+from the caller, builds its section through the check.
 
 The total differential on a curve is dbar_prime + f1 + f2, and a
 dbar_prime-closed seed in a block with l - s > 0 extends to a closed
@@ -69,11 +82,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 from .basis import basis_block, enumerate_basis, mon_scount, split_by_s
-from .chart import ChartFn, I, metric_data
-from .freefield import (BETA, GAMMA, B, C, apply_mode, check_int, mon_charge,
-                        mon_str, mon_weight, sadd, sscale)
+from .chart import ChartFn, I, metric_data, monomial_image, ratio
+from .freefield import (BETA, GAMMA, B, C, apply_mode, check_int,
+                        check_monomial, mon_charge, mon_str, mon_weight, sadd,
+                        sscale)
+from .linalg import integer_multiple
 from .modeops import ModeOperator, pair
 from .sl2 import invariants, kernel_states, sl2_Lplus
 
@@ -83,74 +99,193 @@ _HALF_V2 = -(I * _METRIC.h_inv)  # -i H^-1 = v^2/2
 _IMGAMMA_SQ = ChartFn.v_pow(2, Fraction(-1, 4))  # (Im gamma)^2 = -v^2/4
 # the (s - l) count of dbar_prime, per mode generator
 _S_MINUS_L = {BETA: 1, B: 1, GAMMA: -1, C: -1}
+_CONST = (0, 0, 0)  # the chart monomial 1
 
 
-def _clean(part):
-    part = part or {}
-    for f in part.values():
-        if not isinstance(f, ChartFn):
-            raise TypeError("section coefficients are ChartFn, not %s"
-                            % type(f).__name__)
-    return {m: f for m, f in part.items() if f}
-
-
-def _section(deg0, deg1) -> "FormSection":
-    """The section over deg0 and deg1, taken as they are: every value a
-    nonzero ChartFn that this module built."""
+def _section(deg0, deg1, den=1) -> "FormSection":
+    """The section (deg0, deg1) / den, brought to lowest terms: each
+    part {chart monomial: nonempty {fiber monomial: nonzero int}} built
+    by this module and not shared, den an int > 0.  Empty parts leave
+    den / gcd(den) = 1."""
+    g = den
+    if den > 1:
+        for fibers in (*deg0.values(), *deg1.values()):
+            g = gcd(g, *fibers.values())
+            if g == 1:
+                break
+    if g > 1:
+        den //= g
+        deg0 = {k: {m: c // g for m, c in fibers.items()}
+                for k, fibers in deg0.items()}
+        deg1 = {k: {m: c // g for m, c in fibers.items()}
+                for k, fibers in deg1.items()}
     sec = FormSection.__new__(FormSection)
-    sec.deg0 = deg0
-    sec.deg1 = deg1
+    sec._parts = (deg0, deg1)
+    sec._den = den
     sec._f1 = sec._f2 = None
     return sec
 
 
-def _add_into(out, pairs):
-    """Add each (m, f) of pairs into out[m], dropping an entry whose sum
-    cancels; returns out."""
-    for m, f in pairs:
-        if m in out:
-            f = out[m] + f
-            if not f:
-                del out[m]
-                continue
-        out[m] = f
+def _add_terms(out, terms, fibers):
+    """out[k] += c fibers for each k: c of terms (ints), in place,
+    dropping a fiber sum that cancels; fibers is left as it is."""
+    for k, c in terms.items():
+        acc = out.get(k)
+        if acc is None:
+            out[k] = {m: c * x for m, x in fibers.items()}
+        elif not sadd(acc, fibers, c):
+            del out[k]
+
+
+def _add_parts(a, ma, b, mb):
+    """ma a + mb b as a new part, for ints ma and mb."""
+    out = {k: sscale(fibers, ma) if ma != 1 else dict(fibers)
+           for k, fibers in a.items()}
+    for k, fibers in b.items():
+        acc = out.get(k)
+        if acc is None:
+            out[k] = sscale(fibers, mb) if mb != 1 else dict(fibers)
+        elif not sadd(acc, fibers, mb):
+            del out[k]
     return out
 
 
-class FormSection:
-    """deg0 and deg1 map fiber monomials to chart coefficients; deg1 is
-    the dconj(gamma) component.  A coefficient that is not a ChartFn
-    raises TypeError, and zero coefficients are dropped; the sections
-    the module builds itself skip that check (_section).
+def _scaled(sec, p, q) -> "FormSection":
+    """sec times p / q, for ints p and q > 0."""
+    if not p:
+        return _section({}, {})
+    return _section(*({k: sscale(fibers, p) for k, fibers in part.items()}
+                      for part in sec._parts), sec._den * q)
 
-    A section is a value: nothing changes deg0 or deg1 after
-    construction, so a section keeps its f1 and f2 images once they are
-    computed, and every later call returns the same image object.
+
+def _chart_map(part, factor=None, d=None, p=1):
+    """The part sum over the chart monomials K of part of p factor d(K)
+    (x) part[K] (chart.monomial_image), with factor's denominator."""
+    out = {}
+    den = 1
+    for key, fibers in part.items():
+        terms, den = monomial_image(key, factor, d)
+        if p != 1:
+            terms = {k: c * p for k, c in terms.items()}
+        _add_terms(out, terms, fibers)
+    return out, den
+
+
+def _chart_fiber_map(part, factor, d, image):
+    """The part sum over the chart monomials K of part of factor d(K)
+    (x) F_K, F_K the sum of c image(A) over the entries c A of part[K],
+    with its denominator: factor's times the lcm L of the denominators e
+    of the memoised images (ints, e).  Each image entry is one int
+    multiply-add at the factor L / e; when an image widens L, the sums
+    so far are brought to the new L in place."""
+    out = {}
+    den = fden = 1
+    for key, fibers in part.items():
+        terms, fden = monomial_image(key, factor, d)
+        if not terms:
+            continue
+        acc = {}
+        for m, c in fibers.items():
+            img, e = image(m)
+            if den % e:
+                r = e // gcd(den, e)
+                den *= r
+                for done in (acc, *out.values()):
+                    for x in done:
+                        done[x] *= r
+            sadd(acc, img, c * (den // e))
+        if acc:
+            _add_terms(out, terms, acc)
+    return out, den * fden
+
+
+def _view(part, den):
+    """One stored degree as a new {fiber monomial: ChartFn} dict."""
+    by_mon = {}
+    for key, fibers in part.items():
+        for m, c in fibers.items():
+            by_mon.setdefault(m, {})[key] = c
+    return {m: ChartFn.from_ints(nums, den) for m, nums in by_mon.items()}
+
+
+class FormSection:
+    """A section with ChartFn coefficients: deg0 and deg1 map fiber
+    monomials to chart coefficients, deg1 the dconj(gamma) component.
+    A monomial that freefield.check_monomial refuses raises its
+    TypeError or ValueError, a coefficient that is not a ChartFn
+    TypeError, and zero coefficients are dropped; the sections the
+    module builds itself skip that check (_section).
+
+    Stored per degree as {chart monomial: {fiber monomial: int}} over
+    one denominator (module docstring); deg0 and deg1 are views.  A
+    section is a value: nothing changes it after construction, so it
+    keeps its f1 and f2 images once they are computed, and every later
+    call returns the same image object.
     """
 
-    __slots__ = ("deg0", "deg1", "_f1", "_f2")
+    __slots__ = ("_parts", "_den", "_f1", "_f2")
 
     def __init__(self, deg0=None, deg1=None):
-        self.deg0 = _clean(deg0)
-        self.deg1 = _clean(deg1)
+        given = []  # (part index, fiber monomial, numerators, den)
+        den = 1
+        for d, part in enumerate((deg0, deg1)):
+            for m, f in (part or {}).items():
+                if not isinstance(f, ChartFn):
+                    raise TypeError("section coefficients are ChartFn, not %s"
+                                    % type(f).__name__)
+                check_monomial(m)
+                nums, q = f.as_ints()
+                if nums:
+                    given.append((d, m, nums, q))
+                    den = lcm(den, q)
+        # as in ChartFn(...), the lcm of lowest-terms denominators leaves
+        # the scaled numerators in lowest terms
+        self._parts = parts = ({}, {})
+        for d, m, nums, q in given:
+            r = den // q
+            part = parts[d]
+            for key, c in nums.items():
+                if key in part:
+                    part[key][m] = c * r
+                else:
+                    part[key] = {m: c * r}
+        self._den = den
         self._f1 = self._f2 = None
 
+    @property
+    def deg0(self):
+        """The degree-0 part as a new {fiber monomial: ChartFn} dict."""
+        return _view(self._parts[0], self._den)
+
+    @property
+    def deg1(self):
+        """The dconj(gamma) part as a new {fiber monomial: ChartFn} dict."""
+        return _view(self._parts[1], self._den)
+
     def __bool__(self):
-        return bool(self.deg0) or bool(self.deg1)
+        deg0, deg1 = self._parts
+        return bool(deg0 or deg1)
 
     def __eq__(self, other):
         if not isinstance(other, FormSection):
             return NotImplemented
-        return self.deg0 == other.deg0 and self.deg1 == other.deg1
+        return self._den == other._den and self._parts == other._parts
 
     def __add__(self, other):
         if not isinstance(other, FormSection):
             return NotImplemented
-        return _section(_add_into(dict(self.deg0), other.deg0.items()),
-                        _add_into(dict(self.deg1), other.deg1.items()))
+        if not other:
+            return self
+        if not self:
+            return other
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return _section(*(_add_parts(a, ma, b, mb)
+                          for a, b in zip(self._parts, other._parts)), da * ma)
 
     def __neg__(self):
-        return self.scale(-1)
+        return _scaled(self, -1, 1)
 
     def __sub__(self, other):
         if not isinstance(other, FormSection):
@@ -158,60 +293,72 @@ class FormSection:
         return self + (-other)
 
     def scale(self, c):
-        d0 = {m: f.scale(c) for m, f in self.deg0.items()}
-        d1 = {m: f.scale(c) for m, f in self.deg1.items()}
-        # f.scale has checked c; c = 0 leaves only zeros
-        return _section(d0, d1) if c else _section({}, {})
+        """The section times c, an int or Fraction (chart.ratio)."""
+        return _scaled(self, *ratio(c))
 
     def gradings(self):
         """The set of (weight, charge, s) over all fiber monomials."""
-        mons = set(self.deg0) | set(self.deg1)
+        mons = {m for part in self._parts for fibers in part.values()
+                for m in fibers}
         return {(mon_weight(m), mon_charge(m), mon_scount(m)) for m in mons}
 
     def __repr__(self):
         bits = []
-        for m in sorted(self.deg0):
-            bits.append("[%s](x)%r" % (mon_str(m), self.deg0[m]))
-        for m in sorted(self.deg1):
-            bits.append("[%s](x)%r dcg" % (mon_str(m), self.deg1[m]))
+        for part, tail in ((self.deg0, ""), (self.deg1, " dcg")):
+            bits += ["[%s](x)%r%s" % (mon_str(m), part[m], tail)
+                     for m in sorted(part)]
         return " + ".join(bits) if bits else "0"
 
 
 def dbar_prime(sec: FormSection) -> FormSection:
     """Covariant dbar.  Degree-1 input would give a (0,2)-form, which
-    vanishes on a curve, so only the degree-0 part contributes."""
+    vanishes on a curve, so only the degree-0 part contributes.  Per
+    chart monomial K the image is d/dconj(gamma)(K) + n theta K on an
+    entry with s - l count n, one int per fiber monomial and key."""
     out = {}
-    for mon, f in sec.deg0.items():
-        n = sum(_S_MINUS_L[gen] for gen, _ in mon)
-        g = f.d_gammabar()
-        if n:
-            g = g + (_THETA * f).scale(n)
-        if g:
-            out[mon] = g
-    return _section({}, out)
+    e = 1
+    for key, fibers in sec._parts[0].items():
+        bar, _ = monomial_image(key, d=ChartFn.d_gammabar)
+        conn, e = monomial_image(key, _THETA)
+        # c (e bar + n conn) over theta's denominator e
+        counted = [(m, c, c * sum([_S_MINUS_L[gen] for gen, _ in m]))
+                   for m, c in fibers.items()]
+        for k in {**bar, **conn}:
+            x, y = e * bar.get(k, 0), conn.get(k, 0)
+            acc = out.setdefault(k, {})
+            for m, c, nc in counted:
+                v = acc.get(m, 0) + c * x + nc * y
+                if v:
+                    acc[m] = v
+                elif m in acc:
+                    del acc[m]
+            if not acc:
+                del out[k]
+    return _section({}, out, sec._den * e)
 
 
 def nabla_gamma(sec: FormSection) -> FormSection:
     """Holomorphic covariant derivative; the frame is flat in this
     direction, so it is d/dgamma on coefficients."""
-    return _section(*({m: g for m, f in part.items() if (g := f.d_gamma())}
-                      for part in (sec.deg0, sec.deg1)))
+    return _section(*(_chart_map(part, d=ChartFn.d_gamma)[0]
+                      for part in sec._parts), sec._den)
 
 
 def dbar_star(sec: FormSection) -> FormSection:
     """-i H^-1 iota_{dcg} nabla_gamma: degree 1 -> degree 0."""
-    if sec.deg0:
+    return _star(sec, 1, 1)
+
+
+def _star(sec, p, q) -> FormSection:
+    """dbar_star(sec) times p / q, for ints p and q > 0, in one pass."""
+    if sec._parts[0]:
         raise ValueError("dbar_star acts on pure degree-1 sections")
-    out = {}
-    for m, g in sec.deg1.items():
-        h = _HALF_V2 * g.d_gamma()
-        if h:
-            out[m] = h
-    return _section(out, {})
+    out, e = _chart_map(sec._parts[1], _HALF_V2, ChartFn.d_gamma, p)
+    return _section(out, {}, sec._den * e * q)
 
 
 # fiber operators; the full f1 operator is i times _N1_RAT, with the i
-# carried on the chart coefficient
+# a chart factor
 _N1_RAT = ModeOperator([
     (1, pair(pair("gtilde", "c"), "b"), 0),
     (Fraction(1, 2), pair(pair("gtilde", "gtilde"), "beta"), 0),
@@ -219,16 +366,32 @@ _N1_RAT = ModeOperator([
 _GG_MINUS1 = ModeOperator([(1, pair("gtilde", "gtilde"), -1)])
 
 
+def _over_ints(state):
+    """A rational state as (ints, den) with state = ints / den; an int
+    state is returned as it is, over 1."""
+    if all(type(c) is int for c in state.values()):
+        return state, 1
+    return (integer_multiple(state),
+            lcm(*[c.denominator for c in state.values()]))
+
+
 @cache
 def _n1_image(mon):
-    """The n1_fiber image of one monomial, computed once and shared:
-    callers must not change it."""
+    """The n1_fiber image of one monomial as (ints, den), computed once
+    and shared: callers must not change it."""
     state = {mon: 1}
     img = _N1_RAT.apply(state)
     b0 = apply_mode(BETA, 0, state)
     if b0:
         sadd(img, _GG_MINUS1.apply(b0), Fraction(-1, 2))
-    return img
+    return _over_ints(img)
+
+
+@cache
+def _gg_image(mon):
+    """The f2 fiber image :gtilde gtilde:_(-1) of one monomial as
+    (ints, den), computed once and shared."""
+    return _over_ints(_GG_MINUS1.apply({mon: 1}))
 
 
 def n1_fiber(state):
@@ -238,30 +401,23 @@ def n1_fiber(state):
     monomial into a fresh dict, which callers may change in place."""
     out = {}
     for mon, c in state.items():
-        sadd(out, _n1_image(mon), c)
+        img, den = _n1_image(mon)
+        sadd(out, img, c if den == 1 else Fraction(c, den))
     return out
-
-
-def _tail(terms) -> FormSection:
-    """The degree-1 section sum of coeff (x) image over the (chart
-    coefficient, fiber image) pairs of terms, summed per monomial."""
-    return _section({}, _add_into({}, ((m2, coeff.scale(c))
-                                       for coeff, img in terms
-                                       for m2, c in img.items())))
 
 
 def f1(sec: FormSection) -> FormSection:
     if sec._f1 is None:
-        sec._f1 = _tail((f * I, img) for mon, f in sec.deg0.items()
-                        if (img := _n1_image(mon)))
+        out, e = _chart_fiber_map(sec._parts[0], I, None, _n1_image)
+        sec._f1 = _section({}, out, sec._den * e)
     return sec._f1
 
 
 def f2(sec: FormSection) -> FormSection:
     if sec._f2 is None:
-        sec._f2 = _tail((g, _GG_MINUS1.apply({mon: 1}))
-                        for mon, f in sec.deg0.items()
-                        if (g := _IMGAMMA_SQ * f.d_gamma()))
+        out, e = _chart_fiber_map(sec._parts[0], _IMGAMMA_SQ,
+                                  ChartFn.d_gamma, _gg_image)
+        sec._f2 = _section({}, out, sec._den * e)
     return sec._f2
 
 
@@ -296,7 +452,7 @@ def solve_recursion(seed: FormSection):
     """Extend a closed seed a_s to [a_s, a_{s-1}, ...] with
     dbar_total(sum) = 0.  Requires l - s > 0 and dbar_prime(seed) = 0."""
     grades = seed.gradings()
-    if len(grades) != 1 or seed.deg1:
+    if len(grades) != 1 or seed._parts[1]:
         raise ValueError("seed must be homogeneous of degree 0")
     (k, l, s), = grades
     if l - s <= 0:
@@ -311,9 +467,8 @@ def solve_recursion(seed: FormSection):
         num = f1(chain[t - 1])
         if t >= 2:
             num = num + f2(chain[t - 2])
-        step = dbar_star(num)
-        # -(t (l-s) + t(t-1)/2)^{-1} as one Fraction
-        chain.append(step.scale(Fraction(-2, t * (2 * (l - s) + t - 1))))
+        # times -(t (l-s) + t(t-1)/2)^{-1}
+        chain.append(_star(num, -2, t * (2 * (l - s) + t - 1)))
         if not chain[-1] and not chain[-2] and t >= 2:
             break
     else:
@@ -357,14 +512,16 @@ def case3_kernel(k, s):
     block = basis_block(k, s, s)
     if not block:
         return []
-    images = [_n1_image(m) for m in block]
-    for m, img in zip(block, images):
-        if img != sscale(sl2_Lplus(2, {m: 1}), Fraction(1, 2)):
+    images = []
+    for m in block:
+        ints, den = _n1_image(m)
+        if ints != sscale(sl2_Lplus(2, {m: 1}), Fraction(den, 2)):
             raise ArithmeticError("n1 != Lplus(2)/2 on %s at (%d, %d)"
                                   % (mon_str(m), k, s))
+        images.append(ints if den == 1 else sscale(ints, Fraction(1, den)))
     states = kernel_states(block, images)
     for st in states:
-        sec = _section({m: ChartFn.const(c) for m, c in st.items()}, {})
+        sec = _section({_CONST: integer_multiple(st)}, {})
         if f2(sec) or dbar_prime(sec) or dbar_total(sec):
             raise ArithmeticError("case-3 state is not closed")
     return states

@@ -51,16 +51,20 @@ ch. 7, with no combination of residues across primes):
 
 1. each row is scaled by the lcm of its denominators to integers
    (integer_multiple);
-2. the primes are chosen from the matrix's size: under `WIDE_COLUMNS`
-   = 300 columns the eight largest primes <= 2^61 - 1 (`PRIMES`), else
-   the eight largest Proth primes k 2^96 + 1 below 2^191
-   (`WIDE_PRIMES`);
+2. the primes run narrow to wide: under `WIDE_COLUMNS` = 300 columns
+   the eight largest primes <= 2^61 - 1 (`PRIMES`) come first, and
+   every matrix then has the eight largest Proth primes k 2^96 + 1
+   below 2^191 (`WIDE_PRIMES`);
 3. for each prime p in turn, the canonical kernel is taken mod p and
    every entry is lifted by rational reconstruction with |numerator|,
    denominator <= isqrt(p // 2) (Wang's extended Euclid);
 4. each lifted vector v is certified by checking M v = 0 in exact
    integer arithmetic, and the first prime at which every vector
-   passes gives the answer.
+   passes gives the answer.  A failed certificate (an unlucky prime)
+   moves on to the next prime of the same width; a failed
+   reconstruction means the entries are too tall for that width, so
+   the rest of its primes are skipped, and after the wide primes the
+   kernel is taken over Q.
 
 The cutoff rests on measured heights, the largest bit length of a
 numerator or denominator in a block's canonical kernel basis.  Every
@@ -79,9 +83,9 @@ certified vectors are independent kernel vectors over Q, and nullity_Q
 >= d = nullity_p >= nullity_Q, since the rank mod p is at most the rank
 over Q.  They span the kernel over Q in reduced echelon form, and that
 basis is unique.  A prime that divides a pivot, or is too narrow for an
-entry, fails the lift or the certificate, and the next prime is tried.
-When all eight fail, the same routines run over Q on the same integer
-rows instead; scaling rows leaves the kernel unchanged.  Kernel vector
+entry, fails the lift or the certificate, and another prime is tried
+(step 4).  When the wide primes fail too, the same routines run over Q
+on the same integer rows instead; scaling rows leaves the kernel unchanged.  Kernel vector
 entries are int when integral and Fraction otherwise; a lift with
 common denominator 1 builds its entries as ints, without a Fraction.
 """
@@ -155,8 +159,9 @@ def kernel_basis(m: Matrix):
     with a 1 at f, zeros at the other free columns and support in
     columns <= f.
 
-    Computed mod one prime of PRIMES, or of WIDE_PRIMES for a wide m,
-    and certified, else over Q; either way by two reduced echelon forms
+    Computed mod one prime, narrow (PRIMES, for a matrix under
+    WIDE_COLUMNS columns) before wide (WIDE_PRIMES), and certified, else
+    over Q; either way by two reduced echelon forms
     (_echelon), of m in a fill-reducing column order and of the kernel
     basis read off it in reverse column order (see above).
     """
@@ -193,29 +198,37 @@ def _integer_rows(m: Matrix):
 
 def _modular_kernel(int_rows, ncols):
     """kernel_basis of the integer rows via their canonical kernel mod
-    the first prime, of PRIMES under WIDE_COLUMNS columns and of
-    WIDE_PRIMES from there on, whose lift passes the exact certificate,
-    or None when no prime gives one.  Leaves int_rows unchanged."""
+    the first prime whose lift passes the exact certificate, or None
+    when no prime gives one.  The primes run narrow to wide: PRIMES
+    under WIDE_COLUMNS columns, then WIDE_PRIMES.  A lift that fails the
+    certificate (an unlucky prime) goes on to the next prime of the same
+    width; one that fails rational reconstruction (entries too tall for
+    the width) skips the rest of that width.  Leaves int_rows
+    unchanged."""
     columns = {}
     for i, row in enumerate(int_rows):
         for c, a in row.items():
             columns.setdefault(c, []).append((i, a))
-    for p in PRIMES if ncols < WIDE_COLUMNS else WIDE_PRIMES:
-        residues = [{c: y for c, x in row.items() if (y := x % p)}
-                    for row in int_rows]
-        bound = isqrt(p // 2)
-        basis = []
-        for _, vec in _field_kernel(residues, ncols, *_field_mod(p)):
-            lifted = _lift(vec.items(), p, bound)
-            if lifted is None or not _certified(lifted[0], columns,
-                                                len(int_rows)):
-                break
-            nums, den = lifted
-            basis.append(_vector(ncols, nums.items() if den == 1 else
-                                 ((c, Fraction(n, den))
-                                  for c, n in nums.items())))
-        else:
-            return basis
+    widths = (PRIMES, WIDE_PRIMES) if ncols < WIDE_COLUMNS else (WIDE_PRIMES,)
+    for primes in widths:
+        for p in primes:
+            residues = [{c: y for c, x in row.items() if (y := x % p)}
+                        for row in int_rows]
+            bound = isqrt(p // 2)
+            basis = []
+            for _, vec in _field_kernel(residues, ncols, *_field_mod(p)):
+                lifted = _lift(vec.items(), p, bound)
+                if lifted is None or not _certified(lifted[0], columns,
+                                                    len(int_rows)):
+                    break
+                nums, den = lifted
+                basis.append(_vector(ncols, nums.items() if den == 1 else
+                                     ((c, Fraction(n, den))
+                                      for c, n in nums.items())))
+            else:
+                return basis
+            if lifted is None:
+                break  # too tall for this width
     return None
 
 

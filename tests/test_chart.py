@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from chiral.chart import ChartFn, I, metric_data
+from chiral.chart import ChartFn, I, metric_data, monomial_image
 
 
 def _view(f):
@@ -383,3 +383,46 @@ def test_arithmetic_runs_without_fractions():
     finally:
         sys.setprofile(None)
     assert entered == []
+
+
+def test_stored_form_round_trips_and_rejects_bad_input():
+    rng = random.Random(7)
+    for _ in range(50):
+        f = _random_gaussian_fn(rng)
+        nums, den = f.as_ints()
+        assert ChartFn.from_ints(nums, den) == f
+        # a common factor is divided out, and a zero numerator dropped
+        scaled = {k: 6 * c for k, c in nums.items()}
+        assert ChartFn.from_ints({**scaled, (9, 9, 0): 0}, 6 * den) == f
+        nums.clear()  # as_ints hands out a copy
+        _assert_normal_form(f)
+        assert f.as_ints()[1] == den
+    one = {(0, 0, 0): 1}
+    for nums, den, error in ((one, 0, ValueError), (one, 1.0, TypeError),
+                             (one, True, TypeError),
+                             ({(-1, 0, 0): 1}, 1, ValueError),
+                             ({(0, 0, 2): 1}, 1, ValueError),
+                             ({(0, 0.0, 0): 1}, 1, TypeError),
+                             ({(0, 0, True): 1}, 1, TypeError),
+                             ({(0, 0, 0): Fraction(1, 2)}, 1, TypeError)):
+        with pytest.raises(error):
+            ChartFn.from_ints(nums, den)
+
+
+def test_monomial_image_matches_chart_arithmetic():
+    # factor * d(u^a v^b i^w) for one key, against the same product and
+    # derivative taken on ChartFns
+    rng = random.Random(11)
+    for _ in range(100):
+        factor = _random_gaussian_fn(rng)
+        key = (rng.randrange(3), rng.randrange(-3, 4), rng.randrange(2))
+        mono = ChartFn.from_ints({key: 1})
+        for d in (None, ChartFn.d_gamma, ChartFn.d_gammabar):
+            g = mono if d is None else d(mono)
+            for fac in (None, factor):
+                terms, den = monomial_image(key, fac, d)
+                assert all(type(c) is int and c for c in terms.values())
+                expected = g if fac is None else fac * g
+                assert ChartFn.from_ints(terms, den) == expected
+    with pytest.raises(ValueError):
+        monomial_image((0, 1, 0), None, ChartFn.scale)

@@ -1,6 +1,9 @@
+import fractions
 import hashlib
+import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -9,6 +12,7 @@ from chiral.basis import (basis_block, charges, enumerate_basis,
 from chiral.chart import ChartFn, I, metric_data
 from chiral.freefield import (BETA, GAMMA, B, C, apply_mode, mon_charge,
                               mon_str, mon_weight, sadd, sscale)
+from chiral import geometry
 from chiral.geometry import (FormSection, case3_kernel, chain_residuals,
                              curvature_op, dbar_prime, dbar_star, dbar_total,
                              f1, f2, n1_fiber, nabla_gamma, seed_section,
@@ -184,6 +188,22 @@ def _assert_nonzero_chart_coefficients(sec):
     for part in (sec.deg0, sec.deg1):
         for f in part.values():
             assert type(f) is ChartFn and f, sec
+    _assert_normal_form(sec)
+
+
+def _assert_normal_form(sec):
+    """The stored form: per degree {chart monomial: nonempty {fiber
+    monomial: nonzero int}} over an int denominator > 0, in lowest terms,
+    so that the empty section is {} and {} over 1."""
+    den = sec._den
+    assert type(den) is int and den > 0
+    nums = []
+    for part in sec._parts:
+        for (a, b, w), fibers in part.items():
+            assert a >= 0 and w in (0, 1) and fibers, sec
+            assert all(type(c) is int and c for c in fibers.values()), sec
+            nums += fibers.values()
+    assert gcd(den, *nums) == 1, sec
 
 
 def _assert_empty(sec):
@@ -356,3 +376,82 @@ def test_recursion_fixture():
     assert len(lines) == 2112
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "982d8eb4580bd045d39ffa6636ef1e4568ca8feb55c2d6d6df270a3edad25b06"
+
+
+def test_form_section_rejects_bad_monomials():
+    # the public constructor checks each monomial with check_monomial,
+    # whatever the fiber image memo holds: a float or bool index is a
+    # TypeError, an annihilation mode or a repeated odd mode a ValueError.
+    # (GAMMA, -2.0) hashes and compares equal to (GAMMA, -2), so once the
+    # image of gamma(-2) is memoised a memo lookup would find it
+    bad = [(((GAMMA, -2.0),), TypeError), (((GAMMA, True),), TypeError),
+           (((BETA, 0),), ValueError), (((C, -1), (C, -1)), ValueError)]
+    good = [((GAMMA, -2),), ((BETA, -1),), ((C, -1),)]
+    geometry._n1_image.cache_clear()
+    geometry._gg_image.cache_clear()
+    for memoised in (False, True):
+        if memoised:
+            for mon in good:
+                f1(FormSection(deg0={mon: ChartFn.v_pow(1)}))
+                f2(FormSection(deg0={mon: ChartFn.v_pow(1)}))
+            assert geometry._n1_image.cache_info().currsize == len(good)
+        for mon, error in bad:
+            for deg in ("deg0", "deg1"):
+                with pytest.raises(error):
+                    FormSection(**{deg: {mon: ONE_FN}})
+        with pytest.raises(TypeError):
+            seed_section(((GAMMA, -2.0),))
+    # a bad monomial is refused next to good ones, and a zero coefficient
+    # does not hide it
+    with pytest.raises(ValueError):
+        FormSection(deg0={((C, -1),): ONE_FN, ((BETA, 0),): ChartFn()})
+
+
+def _recursion_chains(kmax):
+    for mon in _recursion_seeds(kmax):
+        yield mon, solve_recursion(seed_section(mon))
+
+
+def test_chain_entries_have_one_chart_monomial():
+    # every entry a_{s-t} of every chain the geometry sweep solves is
+    # A (x) c i^t v^(2(l-s)+t) summed over fiber monomials A, with c
+    # rational: a single chart monomial, which the section layout stores
+    # once per entry
+    chains = entries = 0
+    for mon, chain in _recursion_chains(5):
+        l, s = mon_charge(mon), mon_scount(mon)
+        chains += 1
+        for t, a in enumerate(chain):
+            assert not a.deg1 and a.deg0
+            key = (0, 2 * (l - s) + t, t % 2)
+            for f in a.deg0.values():
+                nums, _ = f.as_ints()
+                assert list(nums) == [key], (mon, t, f)
+            entries += 1
+    assert (chains, entries) == (205, 851)
+
+
+def test_section_operators_run_without_fractions():
+    # once the fiber images are memoised, the operators on the sweep's
+    # chains run on ints alone: no code of the fractions module runs
+    sections = []
+    for _, chain in _recursion_chains(5):
+        for a in chain:
+            fresh = FormSection(a.deg0, a.deg1)  # no f1/f2 image kept
+            f1(a), f2(a)
+            sections.append((fresh, FormSection(a.deg0, a.deg1)))
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for a, b in sections:
+            f1(a), f2(b), dbar_prime(a), dbar_star(f1(a))
+            a + b, a - b, a.scale(3), b.scale(-2)
+    finally:
+        sys.setprofile(None)
+    assert len(sections) == 851
+    assert entered == []

@@ -152,8 +152,10 @@ def modular_declines(m):
 
 
 def test_kernel_unlucky_prime_falls_back():
-    # every prime divides the only pivot over Q: the pivot column moves
-    # mod p, and no prime gives a certified vector
+    # every narrow prime divides the only pivot over Q: the pivot column
+    # moves mod p and the lift fails the certificate; the kernel entry
+    # -1/ALL_PRIMES is then too tall for the wide primes, so no prime
+    # gives a certified vector
     m = check_against_oracle([[ALL_PRIMES, 1]], 2)
     assert modular_declines(m)
     check_against_oracle([[ALL_PRIMES, 1], [2 * ALL_PRIMES, 2]], 2)
@@ -182,10 +184,15 @@ def test_kernel_first_prime_unlucky_second_lucky(monkeypatch):
     calls = count_primes(monkeypatch)
     check_against_oracle([[P61, 3 * P61]], 2)
     assert [call[:2] for call in calls] == [[list(linalg.PRIMES[:2]), False]]
-    # the kernel entry -1/P61 is too tall for any one narrow prime
+    # the kernel entry -1/P61 is too tall for any narrow prime, but no
+    # narrow reconstruction fails: mod P61 the lift of e_0 fails the
+    # certificate, and every other narrow prime p lifts the entry to the
+    # small -1/(P61 - p), which fails it too; the first wide prime then
+    # gives the kernel
     calls.clear()
     check_against_oracle([[P61, 1]], 2)
-    assert [call[:2] for call in calls] == [[list(linalg.PRIMES), True]]
+    assert [call[:2] for call in calls] == [
+        [[*linalg.PRIMES, linalg.WIDE_PRIMES[0]], False]]
 
 
 def test_kernel_later_unlucky_prime_is_skipped(monkeypatch):
@@ -204,21 +211,40 @@ def test_kernel_later_unlucky_prime_is_skipped(monkeypatch):
 
 def test_kernel_too_tall_for_a_narrow_prime_takes_a_wide_one(monkeypatch):
     # a kernel entry with a 51-bit numerator and a 45-bit denominator, like
-    # the entries of block (10, 0): too tall for any 61-bit prime, so the
-    # narrow primes all fail and the kernel comes from Q; as a wide matrix
-    # it is lifted from the first wide prime without falling back
+    # the entries of block (10, 0): too tall for any 61-bit prime.  The
+    # first three narrow primes lift it to a wrong small fraction, which
+    # fails the certificate; the fourth fails the reconstruction, which
+    # skips the other narrow primes, and the first wide prime gives the
+    # kernel.  As a wide matrix it is lifted from the first wide prime
     num, den = 2**50 + 1, 3**28
     rows = [[den, num, 0], [0, 1, 1]]
     expected = [[Fraction(num, den), Fraction(-1), Fraction(1)]]
     assert oracle_kernel(rows, 3) == expected
     calls = count_primes(monkeypatch)
     m = check_against_oracle(rows, 3)
-    assert [call[:2] for call in calls] == [[list(linalg.PRIMES), True]]
+    assert [call[:2] for call in calls] == [
+        [[*linalg.PRIMES[:4], linalg.WIDE_PRIMES[0]], False]]
     monkeypatch.setattr(linalg, "WIDE_COLUMNS", 0)
     calls.clear()
     check_against_oracle(rows, 3)
     assert [call[:2] for call in calls] == [[[linalg.WIDE_PRIMES[0]], False]]
     assert linalg._modular_kernel(linalg._integer_rows(m), 3) == expected
+
+
+def test_kernel_too_tall_for_a_wide_prime_falls_back_to_q(monkeypatch):
+    # a kernel entry with a 101-bit numerator, past the 95 bits a wide
+    # prime reconstructs: every narrow prime lifts it to a wrong small
+    # fraction, which fails the certificate, then the first two wide
+    # primes do the same and the third fails the reconstruction, which
+    # skips the other wide primes, so the kernel comes from Q
+    num, den = 2**100 + 1, 3**20
+    rows = [[den, num, 0], [0, 1, 1]]
+    expected = [[Fraction(num, den), Fraction(-1), Fraction(1)]]
+    assert oracle_kernel(rows, 3) == expected
+    calls = count_primes(monkeypatch)
+    check_against_oracle(rows, 3)
+    assert [call[:2] for call in calls] == [
+        [[*linalg.PRIMES, *linalg.WIDE_PRIMES[:3]], True]]
 
 
 def is_prime(n):
