@@ -134,8 +134,13 @@ def commutator_failures(blocks, nbound):
     The left side at (b, a, n, m) is -(-1)^{|a||b|} times the one at
     (a, b, m, n), so a pair a != b whose swap the block also sweeps is
     checked together with its swap, from one left side.  Failures are
-    listed in sweep order all the same.
+    listed in sweep order all the same.  The binomials C(m, j) of the
+    right sides come from one table, built here for the whole span.
     """
+    span = range(-nbound, nbound + 1)
+    jmax = max((amax + bmax for amax, bmax, xmax, dmax in blocks), default=0)
+    binom = [[binomial(m, j) for j in range(jmax)] for m in span]
+    cmax = max((abs(c) for row in binom for c in row), default=0)
     fails = []
     for amax, bmax, xmax, dmax in blocks:
         A, B_ = _family(amax, dmax), _family(bmax, dmax)
@@ -152,45 +157,76 @@ def commutator_failures(blocks, nbound):
                     pairs = [(i, k, am, bm), swap + (bm, am)]
                 else:
                     continue  # checked with its swap
-                _commutator_pairs(found, pairs, X, nbound)
+                _commutator_pairs(found, pairs, X, nbound, binom, cmax)
         found.sort()
         fails.extend(what for key, what in found)
     return fails
 
 
-def _commutator_pairs(found, pairs, X, nbound):
-    """Check the commutator formula on one pair (a, b), or on a pair and
-    its swap (b, a), adding (sweep position, failure) to found.
+# bits per signed digit of the packed (m, n) instances of _commutator_pairs
+DIGIT_BITS = 64
 
-    All (m, n) instances of one x are checked in one table: the entry at
-    key mid * S + slot holds the coefficient of the monomial with id mid
-    in lhs - rhs at (m, n), where slot numbers (m, n) in the span and S
-    is the number of slots.  Each pair then costs one pass over the table
-    per x, and the key of a nonzero entry, taken mod S, names a failing
-    (m, n), whose failure is built anew from states.
+
+def _commutator_pairs(found, pairs, X, nbound, binom, cmax):
+    """Check the commutator formula on one pair (a, b), or on a pair and
+    its swap (b, a), adding (sweep position, failure) to found.  binom
+    holds C(m, j) at [m + nbound][j] for |m| <= nbound and every
+    j < weight(a) + weight(b), and cmax is its largest absolute value.
+
+    All (m, n) instances of one x are checked in one table, keyed by
+    monomial id.  A monomial of lhs - rhs at (m, n) has weight top - m -
+    n, top = weight(a) + weight(b) + weight(x) - 2, so its id fixes m +
+    n and m alone names the instance.  The entry of id mid packs the
+    coefficients of mid at all those instances into one int, as signed
+    digits of W = DIGIT_BITS bits: the digit at position m + nbound is
+    the coefficient at (m, top - weight(mid) - m).  So
+    a term added to every instance of one anti-diagonal costs one update,
+    c times its packed coefficients.  Each pair then costs one pass over
+    the table per x; a nonzero entry is decoded digit by digit, and each
+    nonzero digit names a failing (m, n), whose failure is built anew
+    from states.
 
     A monomial p of a_(j)b fixes j, so the product p_(t)x serves every
-    (m, n) with m + n = t + j: it is read once per x and added into each
-    of those slots.  Every product below weight 0 is zero and is never
-    read.  Products are looked up in their memo rows by the id of their
-    argument; a row computes and keeps only its misses."""
+    (m, n) with m + n = t + j: it is read once per x and added, with
+    those instances' binomials packed into one coefficient, in one
+    update per monomial.  Every product below weight 0 is zero and is
+    never read.  Products are looked up in their memo rows by the id of
+    their argument; a row computes and keeps only its misses.
+
+    The packing is exact while no digit reaches 2^(W-1) in size: then
+    the int is zero exactly when every digit is, and the balanced digits
+    decode uniquely.  Let K and L bound the coefficients and the lengths
+    of the stored products (freefield._largest).  One digit of the left
+    side sums at most L terms c_y c of a_(m)(b_(n)x), one per monomial
+    y of b_(n)x, and as many of b_(n)(a_(m)x): at most 2 K^2 L.  The
+    right side sums, over the j < weight(a) + weight(b) and the at most
+    L monomials p of a_(j)b, C(m, j) c_p times the coefficient of mid in
+    p_(t)x: at most (weight(a) + weight(b)) cmax K^2 L.  Every decision
+    checks K^2 L (2 + (weight(a) + weight(b)) cmax) < 2^(W-1) first and
+    raises OverflowError otherwise, so an entry too large to pack can
+    never pass as zero.  The count takes every product to be homogeneous
+    in weight, as the engine's are: a product that broke its grading
+    could put another instance's terms on the same digit.  The grading
+    check on a_(j)b and the translation sweep, which keys each n apart,
+    are there to catch such a product.
+    """
     span = range(-nbound, nbound + 1)
     size = len(span)
-    S = size * size
     am, bm = pairs[0][2:]
     ia, ib = _intern(am), _intern(bm)
     wa, la, pa = mon_weight(am), mon_charge(am), mon_parity(am)
     wb, lb, pb = mon_weight(bm), mon_charge(bm), mon_parity(bm)
     sign = -1 if pa & pb else 1
+    limit = (1 << (DIGIT_BITS - 1)) // (2 + (wa + wb) * cmax)
     memo = freefield._prod_rows
     arows = [memo[ia, m] for m in span]
     brows = [memo[ib, n] for n in span]
     # For each pair, the right side sum_j C(m,j) (a_(j)b)_(m+n-j) x as
-    # (least weight of x, row of p_(t), [(slot, coeff)]) over the
+    # (least weight of x, row of p_(t), packed coefficient) over the
     # monomials p of the nonzero a_(j)b, scaled so that the table below
     # is lhs - rhs for the first pair and, for its swap, lhs + sign rhs'
     # = -sign (lhs' - rhs') as lhs' = -sign lhs.  The swap's right side
-    # at slot (m, n) is the one at (n, m).  Instances at m + n = t + j
+    # at instance (m, n) is the one at (n, m).  Instances at m + n = t + j
     # lie below weight 0 unless weight(x) >= t + j + 2 - wa - wb.
     right = []
     for v, (i, k, a, b) in enumerate(pairs):
@@ -203,16 +239,17 @@ def _commutator_pairs(found, pairs, X, nbound):
                 found.append(((i, k, 0, j), _failure(
                     "grading: %s_(%d)%s" % (mon_str(a), j, mon_str(b)),
                     _state(pj), {})))
-            slots = {}
+            packed = {}
             for mi, m in enumerate(span):
                 for ni, n in enumerate(span):
-                    cj = binomial(n if v else m, j)
+                    cj = binom[ni if v else mi][j]
                     if cj:
-                        slots.setdefault(m + n - j, []).append(
-                            (mi * size + ni, sign * cj if v else -cj))
-            for t, st in slots.items():
-                terms.extend((t + j + 2 - wa - wb, memo[ip, t],
-                              [(slot, cj * cp) for slot, cj in st])
+                        cj = sign * cj if v else -cj
+                        t = m + n - j
+                        packed[t] = (packed.get(t, 0)
+                                     + (cj << DIGIT_BITS * mi))
+            for t, pk in packed.items():
+                terms.extend((t + j + 2 - wa - wb, memo[ip, t], cp * pk)
                              for ip, cp in pj)
         terms.sort(key=lambda term: term[0])
         right.append(terms)
@@ -229,41 +266,60 @@ def _commutator_pairs(found, pairs, X, nbound):
             if y:
                 for mi in range(min(size, top - n + nbound + 1)):
                     arow = arows[mi]
-                    slot = mi * size + ni
+                    shift = DIGIT_BITS * mi
                     for iy, cy in y:
+                        cy <<= shift
                         for mid, c in arow[iy]:
-                            key = mid * S + slot
-                            table[key] = get(key, 0) + cy * c
+                            table[mid] = get(mid, 0) + cy * c
         for mi, m in enumerate(span):
             if m > wa + wx - 1:
                 break
-            z = [(iz, -sign * cz) for iz, cz in arows[mi][ix]]
+            shift = DIGIT_BITS * mi
+            z = [(iz, -sign * cz << shift) for iz, cz in arows[mi][ix]]
             if z:
                 for ni in range(min(size, top - m + nbound + 1)):
                     brow = brows[ni]
-                    slot = mi * size + ni
                     for iz, cz in z:
                         for mid, c in brow[iz]:
-                            key = mid * S + slot
-                            table[key] = get(key, 0) + cz * c
+                            table[mid] = get(mid, 0) + cz * c
         for v, (i, k, a, b) in enumerate(pairs):
             diff = table if v or len(pairs) == 1 else table.copy()
             get = diff.get
-            for need, row, slots in right[v]:
+            for need, row, pk in right[v]:
                 if wx < need:
                     break
                 for mid, c in row[ix]:
-                    base = mid * S
-                    for slot, cp in slots:
-                        key = base + slot
-                        diff[key] = get(key, 0) + cp * c
+                    diff[mid] = get(mid, 0) + c * pk
+            K, L = freefield._largest
+            if K * K * L >= limit:
+                raise OverflowError(
+                    "commutator entries may not fit %d-bit digits: largest "
+                    "coefficient %d, longest product %d"
+                    % (DIGIT_BITS, K, L))
             if any(diff.values()):
-                for slot in {key % S for key, c in diff.items() if c}:
-                    m, n = span[slot // size], span[slot % size]
+                for m, n in _failing(diff, top, span):
                     mm, nn = (n, m) if v else (m, n)
                     found.append(((i, k, 1, xpos, mm, nn),
                                   _commutator_failure(a, mm, b, nn, xm,
                                                       sign)))
+
+
+def _failing(diff, top, span):
+    """The (m, n) of every nonzero digit of the packed entries of diff,
+    as a set; see _commutator_pairs."""
+    mask, half = (1 << DIGIT_BITS) - 1, 1 << (DIGIT_BITS - 1)
+    weights = freefield._weights
+    out = set()
+    for mid, packed in diff.items():
+        diagonal = top - weights[mid]
+        for m in span:
+            digit = packed & mask
+            if digit >= half:
+                digit -= mask + 1
+            if digit:
+                out.add((m, diagonal - m))
+            packed = (packed - digit) >> DIGIT_BITS
+    return out
 
 
 ENGINE_CLI = {
@@ -271,9 +327,12 @@ ENGINE_CLI = {
     "blocks": ((2, 2, 1, 0), (1, 1, 1, 1)),
 }
 # widest sweep fitting the one-minute budget on a single core; the
-# plain product of the per-role weight caps does not.  It takes 9-11 s
-# (three cold runs) on a shared 2-core VM under Python 3.11.7, at about
-# 184 MB peak RSS, and leaves 900,770 products in the memo.
+# plain product of the per-role weight caps does not.  It took 10-16 s
+# over nine cold runs on a shared 2-core VM under Python 3.11.7, whose
+# speed varied within the hour, at about 182 MB peak RSS, and leaves 900,770 products in the memo, whose
+# largest coefficient is 576 and longest product 324 terms.  So the
+# bound on its packed commutator digits, 576^2 * 324 * (2 + 4 * 10),
+# is below 2^33, far inside the 64-bit digits.
 ENGINE_FULL = {
     "amax": 3, "xmax": 2, "adeg": 2, "xdeg": 1, "nbound": 3,
     "blocks": ((2, 2, 2, 0), (3, 1, 1, 0), (1, 1, 1, 2)),
@@ -359,7 +418,7 @@ def geometry_failures(kmax=2, case3_kmax=3):
             s = mon_scount(mon)
             sec = geo.FormSection(deg0={mon: v})
             for op, ds in ((geo.f1, -1), (geo.f2, -2)):
-                for m2 in op(sec).deg1:
+                for m2 in op(sec).monomials(1):
                     got = (mon_weight(m2), mon_charge(m2), mon_scount(m2))
                     if got != (k, l, s + ds):
                         fails.append("grading: F drops s wrongly on %s" % mon_str(mon))

@@ -66,6 +66,9 @@ to many states fetches its row once (_prod_rows[ia, n]) and reads
 every product as row[ib], and the engine itself reads its inner
 products the same way.  Every stored pair is the one object _pairs
 holds for its value, so products that share a term share its pair.
+_largest bounds the coefficients and the lengths of the stored
+products; the commutator sweep of chiral.checks packs its instances
+into ints whose digit width rests on that bound.
 Everything public (nth_product, wick, apply_mode, apply_word,
 translate, state_str) takes and returns monomial-keyed states; the ids
 never leave this module and the engine sweep.
@@ -245,14 +248,13 @@ _weights = []    # id -> conformal weight
 _parities = []   # id -> parity
 
 
-def check_monomial(mon, stop=None):
+def check_monomial(mon):
     """Raise ValueError unless mon is normally ordered: creation modes of
     the four generators, sorted, with no odd mode repeated; a generator
     or an index that is not exactly an int (a bool or a float too)
-    raises TypeError, through check_int.  With stop, only mon[:stop] is
-    checked."""
+    raises TypeError, through check_int."""
     prev = None
-    for mode in mon[:stop]:
+    for mode in mon:
         gen, idx = mode
         if type(gen) is not int or type(idx) is not int:
             check_int(gen, "generators")
@@ -265,15 +267,13 @@ def check_monomial(mon, stop=None):
 
 
 def _intern(mon):
-    """The id of a monomial, assigning one (and one to each of its
-    tails) on first sight.  A monomial seen for the first time must be
-    normally ordered; its first two modes are checked here, and
-    interning its tail checks the rest."""
+    """The id of a normally ordered monomial, assigning one (and one to
+    each of its tails) on first sight.  Nothing is checked here: the
+    public entry points check each monomial a caller gives them."""
     i = _ids.get(mon)
     if i is None:
         head, weight, parity = None, 0, 0
         if mon:
-            check_monomial(mon, 2)
             gen, idx = mon[0]
             tail = _intern(mon[1:])
             head = (gen, idx, tail)
@@ -338,12 +338,18 @@ _contractions = Memo(lambda gen: Memo(partial(_contract, gen)))
 
 class _ProdRow(dict):
     """The memo row of the operator a_(n), for the monomial a with id ia:
-    {id of b: a_(n) b}.  Reading a product the row lacks computes it."""
+    {id of b: a_(n) b}.  Reading a product the row lacks computes it.
+    A product written into the row from outside (a test's plant) widens
+    _largest, as every product the row computes itself does."""
 
     __slots__ = ("ia", "n")
 
     def __init__(self, key):
         self.ia, self.n = key
+
+    def __setitem__(self, ib, prod):
+        _widen(prod)
+        _dict_set(self, ib, prod)
 
     def __missing__(self, ib):
         """a_(n) b for the monomial b with id ib, as a tuple of (id, int)
@@ -370,10 +376,25 @@ class _ProdRow(dict):
         x_(j) a = c' |k>, and reads each (mon k)_(p+n-j) c from the memo
         row of that operator; every term of the sum has the weight of
         a_(n) b, so none is below weight 0.
+
+        Most misses of a sweep have no contraction of x with a, and then
+        a_(n) b = eps x_(p) (a_(n) c) is built as a tuple directly, with
+        no dict to sum into.  That is exact because insertion is
+        injective on monomials: x_(p) m = x_(p) m' up to sign only for
+        m = m' (take the mode out again).  So the distinct ids of a_(n) c
+        go to distinct ids, and each coefficient is +-1 times a nonzero
+        one of a_(n) c.  The same argument shows that such a product is
+        no longer than a_(n) c and no coefficient is larger in size, so
+        it cannot widen _largest.  The other misses sum into a dict, and
+        widen _largest when they add a new pair to _pairs or are longer
+        than every stored product so far.
         """
         ia, n = self.ia, self.n
-        if _weights[ia] + _weights[ib] - n - 1 < 0:
+        # a_(n) m lies below weight 0 exactly when weight(m) < gap
+        gap = n + 1 - _weights[ia]
+        if _weights[ib] < gap:
             return _EMPTY
+        pair = _pairs.setdefault
         head = _heads[ib]
         if head is None:
             # b = |0>: a_(n)|0> = T^k a / k! for k = -1 - n >= 0, else 0
@@ -384,29 +405,62 @@ class _ProdRow(dict):
         else:
             gx, p, ic = head
             eps = -1 if _parities[ia] & PARITY[gx] else 1
+            contractions = _contractions[gx][ia]
+            # eps x_(p) (a_(n) c), unless a_(n) c lies below weight 0
+            below = _weights[ic] < gap
+            if not contractions:
+                if below:
+                    out = _EMPTY
+                else:
+                    out = []
+                    irow = _insert_rows[gx, p]
+                    for k, c in self[ic]:
+                        sign, k2 = irow[k]
+                        if sign is not None:
+                            kc = k2, (c if sign == eps else -c)
+                            out.append(pair(kc, kc))
+                    out = tuple(out)
+                _dict_set(self, ib, out)
+                return out
             out = {}
             get = out.get
-            # eps x_(p) (a_(n) c), unless a_(n) c lies below weight 0
-            if _weights[ia] + _weights[ic] - n - 1 >= 0:
+            if not below:
                 irow = _insert_rows[gx, p]
                 for k, c in self[ic]:
                     sign, k2 = irow[k]
                     if sign is not None:
                         out[k2] = get(k2, 0) + eps * sign * c
             # -eps C(p, j) (x_(j) a)_(p+n-j) c, C(p, j) = (-1)^j C(j-p-1, j)
-            for j, k, c in _contractions[gx][ia]:
+            for j, k, c in contractions:
                 cj = comb(j - p - 1, j) * c * (eps if j & 1 else -eps)
                 for k2, c2 in _prod_rows[k, p + n - j][ic]:
                     out[k2] = get(k2, 0) + cj * c2
             terms = out.items()
-        pair = _pairs.setdefault
-        out = self[ib] = tuple([pair(kc, kc) for kc in terms if kc[1]])
+        known = len(_pairs)
+        out = tuple([pair(kc, kc) for kc in terms if kc[1]])
+        _dict_set(self, ib, out)
+        if len(_pairs) != known or len(out) > _largest[1]:
+            _widen(out)
         return out
 
 
+def _widen(prod):
+    """Raise _largest to cover the stored product prod."""
+    for k, c in prod:
+        if abs(c) > _largest[0]:
+            _largest[0] = abs(c)
+    if len(prod) > _largest[1]:
+        _largest[1] = len(prod)
+
+
+_dict_set = dict.__setitem__
 _prod_rows = Memo(_ProdRow)   # (id of a, n) -> the memo row of a_(n)
 _pairs = {}        # (id, coeff) -> the one stored pair equal to it
 _EMPTY = ()        # every zero product
+# [K, L]: no stored product has a coefficient larger than K in absolute
+# value or more than L terms.  Every pair in _pairs has |coeff| <= K.
+# Both only grow; chiral.checks bounds its packed digits by them.
+_largest = [0, 0]
 
 
 def _prod_mono(ia, n, ib):
@@ -415,15 +469,29 @@ def _prod_mono(ia, n, ib):
     return _prod_rows[ia, n][ib]
 
 
+def _caller_id(mon):
+    """The id of a monomial a caller gave.  The object the intern table
+    holds was checked, or built by the engine, when it was interned, so
+    any other object is checked first, an equal one too: a float index
+    hashes and compares equal to its int, and must not find its id."""
+    i = _ids.get(mon)
+    if i is None or _mons[i] is not mon:
+        check_monomial(mon)
+        i = _intern(mon)
+    return i
+
+
 def nth_product(a, n, b):
     """Bilinear extension of the n-th product to states.  An n that is
-    not an int raises TypeError."""
+    not an int raises TypeError, and so does a float or bool in a
+    monomial of a or b (check_monomial), whether or not its int twin has
+    an id already."""
     check_int(n, "product indices")
     out = {}
     get = out.get
-    bids = [(_intern(bmon), cb) for bmon, cb in b.items()]
+    bids = [(_caller_id(bmon), cb) for bmon, cb in b.items()]
     for amon, ca in a.items():
-        row = _prod_rows[_intern(amon), n]
+        row = _prod_rows[_caller_id(amon), n]
         for ib, cb in bids:
             cab = ca * cb
             for k, c in row[ib]:

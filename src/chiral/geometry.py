@@ -296,10 +296,14 @@ class FormSection:
         """The section times c, an int or Fraction (chart.ratio)."""
         return _scaled(self, *ratio(c))
 
+    def monomials(self, d):
+        """The set of fiber monomials of degree d (0 or 1), read off the
+        stored form without building their ChartFn coefficients."""
+        return {m for fibers in self._parts[d].values() for m in fibers}
+
     def gradings(self):
         """The set of (weight, charge, s) over all fiber monomials."""
-        mons = {m for part in self._parts for fibers in part.values()
-                for m in fibers}
+        mons = self.monomials(0) | self.monomials(1)
         return {(mon_weight(m), mon_charge(m), mon_scount(m)) for m in mons}
 
     def __repr__(self):
@@ -398,9 +402,11 @@ def n1_fiber(state):
     """Rational part of the degree-raising fiber operator:
     ::gtilde c: b:_(0) + (1/2)(::gtilde gtilde: beta:_(0)
     - :gtilde gtilde:_(-1) beta_(0)).  Sums the memoised image of each
-    monomial into a fresh dict, which callers may change in place."""
+    monomial into a fresh dict, which callers may change in place.  Each
+    monomial is checked with check_monomial before the memo is read."""
     out = {}
     for mon, c in state.items():
+        check_monomial(mon)
         img, den = _n1_image(mon)
         sadd(out, img, c if den == 1 else Fraction(c, den))
     return out

@@ -200,8 +200,10 @@ class ModeOperator:
     materialize(bound) lists the (coefficient, word) terms for states of
     weight <= bound.  The instance keeps those terms compiled into a trie
     per bound and the image of every monomial it has met; both only
-    grow.  A monomial whose image is not memoised yet must be normally
-    ordered (freefield.check_monomial), else apply raises ValueError.
+    grow.  apply checks every monomial it is given with
+    freefield.check_monomial before it reads the images, so a monomial
+    that is not normally ordered raises ValueError, and a float or bool
+    index TypeError, whatever the images hold.
     """
 
     def __init__(self, pieces):
@@ -226,7 +228,6 @@ class ModeOperator:
     def _image(self, mon):
         """The image of one monomial, with its weight as the bound; the
         images table calls it on a miss."""
-        check_monomial(mon)
         out = {}
         _walk(self._tries[mon_weight(mon)], mon, 1, out)
         return out
@@ -235,5 +236,6 @@ class ModeOperator:
         out = {}
         images = self._images
         for mon, c in state.items():
+            check_monomial(mon)
             sadd(out, images[mon], c)
         return out

@@ -1,14 +1,21 @@
 import hashlib
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import chiral
 from chiral import freefield, geometry, sl2
 from chiral.basis import enumerate_basis, grades, mon_scount
 from chiral.chart import ChartFn
 from chiral.checks import (ENGINE_CLI, commutator_failures, emptiness_failures,
                            engine_failures, geometry_failures, sl2_failures,
                            translation_failures, vacuum_failures)
-from chiral.freefield import BETA, C, GAMMA, VACUUM_MON, _intern, mon_str
+from chiral.freefield import (BETA, C, GAMMA, VACUUM_MON, _intern, _state,
+                              mon_str)
 from chiral.modeops import ModeOperator, pair
 
 
@@ -71,6 +78,66 @@ def test_commutator_sweep_catches_a_wrong_product_in_the_gamma1_free_block(
                         "lhs = (1) c(-2), rhs = 0")
     assert _digest(fails) == (
         "19c9132f6627eb57cd8a7152d8bf83ebfc143ae9304b8d69133d5aa7de830da6")
+
+
+def test_commutator_sweep_reports_the_one_instance_a_plant_breaks(
+        empty_memo):
+    # plant a = beta(-1) c(-1), a_(-2) beta(-1)^2 c(-2) = +beta(-2)
+    # beta(-1)^2 c(-2) c(-1) (it is -1 times that): of every instance of
+    # the block at nbound 3, only (m, n) = (-2, -2) on x = beta(-1) reads
+    # it.  The packed table holds that instance in digit 1 of its entry,
+    # and the sweep reports exactly it
+    a = ((BETA, -1), (C, -1))
+    b = ((BETA, -1), (BETA, -1), (C, -2))
+    row, ib = freefield._prod_rows[_intern(a), -2], _intern(b)
+    (k, c), = row[ib]
+    assert _state(row[ib]) == {((BETA, -2), (BETA, -1), (BETA, -1), (C, -2),
+                                (C, -1)): -1}
+    empty_memo()
+    freefield._prod_rows[_intern(a), -2][ib] = ((k, -c),)
+    assert commutator_failures(((1, 1, 1, 0),), 3) == [
+        "commutator: [beta(-1) c(-1)_(-2), beta(-1) c(-1)_(-2)] beta(-1): "
+        "lhs = (4) beta(-2) beta(-1) beta(-1) c(-2) c(-1), rhs = 0"]
+
+
+def test_commutator_sweep_raises_past_the_packed_digit_bound(empty_memo):
+    # plant beta(-1)_(0) gamma(-1) = v (it is 1).  At v = 2^24 a digit of
+    # the packed table may reach about 2^50, which the 64-bit digits
+    # hold: the sweep reports the 1096 instances that v = 2 breaks.  At
+    # v = 2^40 the bound K^2 L (2 + (w_a + w_b) C_max) passes 2^63, and
+    # the sweep raises rather than decide anything.  The planted
+    # coefficient widens freefield._largest, which empty_memo restores
+    key = (_intern(((BETA, -1),)), 0, _intern(((GAMMA, -1),)))
+    instances = {}
+    for v in (2, 2 ** 24):
+        empty_memo()
+        freefield._prod_rows[key[:2]][key[2]] = ((_intern(VACUUM_MON), v),)
+        fails = commutator_failures(((1, 1, 1, 1),), 2)
+        instances[v] = [what.split(": lhs")[0] for what in fails]
+    assert len(instances[2]) == 1096
+    assert instances[2 ** 24] == instances[2]
+    empty_memo()
+    freefield._prod_rows[key[:2]][key[2]] = ((_intern(VACUUM_MON), 2 ** 40),)
+    assert freefield._largest[0] == 2 ** 40
+    with pytest.raises(OverflowError, match="64-bit digits"):
+        commutator_failures(((1, 1, 1, 1),), 2)
+
+
+def test_cli_engine_sweep_leaves_the_memo_it_always_has():
+    # from a fresh interpreter, the `chiral verify` engine sweep leaves
+    # 83,062 products, 22,308 shared pairs and 4,022 interned monomials:
+    # how the sweep and the fill compute must not change what they keep
+    src = Path(chiral.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from chiral import checks, freefield as f\n"
+         "assert checks.engine_failures(**checks.ENGINE_CLI) == []\n"
+         "print(sum(map(len, f._prod_rows.values())), len(f._pairs),"
+         " len(f._mons))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["83062", "22308", "4022"]
 
 
 def test_vacuum_sweep_catches_a_wrong_vacuum_operator(empty_memo):

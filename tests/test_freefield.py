@@ -270,6 +270,23 @@ def test_nth_product_rejects_a_non_int_mode_index(monkeypatch, empty_memo):
         check_monomial(((GAMMA, -2.0),))
 
 
+def test_nth_product_rejects_a_non_int_mode_with_a_warm_memo(empty_memo):
+    # once gamma(-2) has an id and its products are memoised, the equal
+    # (GAMMA, -2.0) and (True, -2) would find them: nth_product checks
+    # every monomial before any lookup, on either side of a product
+    beta = {((BETA, -1),): 1}
+    for good, bad, what in (
+            (((GAMMA, -2),), ((GAMMA, -2.0),), "mode indices"),
+            (((BETA, -1), (C, -1)), ((BETA, -1), (C, -1.0)), "mode indices"),
+            (((GAMMA, -2),), ((True, -2),), "generators")):
+        assert nth_product(beta, -1, {good: 1})
+        assert nth_product({good: 1}, -1, beta)
+        assert bad in freefield._ids
+        for a, b in ((beta, {bad: 1}), ({bad: 1}, beta)):
+            with pytest.raises(TypeError, match="%s are int" % what):
+                nth_product(a, -1, b)
+
+
 def test_wick_quasi_commutativity_correction():
     b1 = {((B, -1),): 1}
     c1 = {((C, -1),): 1}

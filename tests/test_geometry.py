@@ -407,6 +407,20 @@ def test_form_section_rejects_bad_monomials():
         FormSection(deg0={((C, -1),): ONE_FN, ((BETA, 0),): ChartFn()})
 
 
+def test_n1_fiber_rejects_a_non_int_mode_with_a_cold_or_warm_memo():
+    # (C, -2.0) hashes and compares equal to (C, -2): once the n1 image
+    # of beta(-1) c(-2) is memoised, a lookup would find it, so n1_fiber
+    # checks each monomial before it reads the memo
+    good, bad = ((BETA, -1), (C, -2)), ((BETA, -1), (C, -2.0))
+    geometry._n1_image.cache_clear()
+    for warm in (False, True):
+        if warm:
+            n1_fiber({good: 1})
+            assert geometry._n1_image.cache_info().currsize == 1
+        with pytest.raises(TypeError, match="mode indices are int"):
+            n1_fiber({bad: 1})
+
+
 def _recursion_chains(kmax):
     for mon in _recursion_seeds(kmax):
         yield mon, solve_recursion(seed_section(mon))

@@ -132,6 +132,22 @@ def test_apply_rejects_a_malformed_monomial():
     assert op.apply({((GAMMA, -1), (GAMMA, -1)): 1}) == {((GAMMA, -1),): 2}
 
 
+def test_apply_rejects_a_non_int_mode_with_a_cold_or_warm_memo():
+    # (GAMMA, -1.0) and (True, -1) hash and compare equal to (GAMMA, -1),
+    # so once the image of beta(-1) gamma(-1) is memoised a lookup would
+    # find it: apply checks each monomial first, memoised or not
+    op = ModeOperator([(1, "beta", 0)])
+    good = ((BETA, -1), (GAMMA, -1))
+    for bad, what in ((((BETA, -1), (GAMMA, -1.0)), "mode indices"),
+                      (((BETA, -1), (True, -1)), "generators")):
+        for warm in (False, True):
+            if warm:
+                assert op.apply({good: 1}) == {((BETA, -1),): 1}
+                assert bad in op._images
+            with pytest.raises(TypeError, match="%s are int" % what):
+                op.apply({bad: 1})
+
+
 def test_annihilation_mode_acts_exactly_when_its_partner_is_present():
     # the premise of the partner screen in ModeOperator's trie walk
     mons = [mon for k in range(6) for l in charges(k)

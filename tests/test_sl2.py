@@ -21,6 +21,19 @@ CHARACTER_4 = {
 }
 
 
+def test_sl2_actions_reject_a_non_int_mode_with_a_warm_memo():
+    # L(i) goes through nth_product and Lplus(i) through ModeOperator.apply;
+    # after beta(-1) gamma(-2) is memoised in both, the equal monomial
+    # with a float index still raises instead of reading its image
+    good = ((BETA, -1), (GAMMA, -2))
+    bad = ((BETA, -1), (GAMMA, -2.0))
+    for action in (sl2_L, sl2_Lplus):
+        for i in range(3):
+            action(i, {good: 1})
+            with pytest.raises(TypeError, match="mode indices are int"):
+                action(i, {bad: 1})
+
+
 def test_lplus_one_is_diagonal_counting():
     # eigenvalue l - s on every gamma_(-1)-free monomial through weight 6
     count = 0
